@@ -15,10 +15,12 @@
 //! CI failure. Determinism regressions are caught elsewhere, by the
 //! byte-identity assertions in the experiments themselves.
 
+use std::fmt::Write as _;
+
 use std::collections::BTreeMap;
 
 use multinoc_bench::json::{parse, Json};
-use multinoc_bench::table_row;
+use multinoc_bench::{table_row, Report};
 
 /// Relative delta (in percent) above which a row is flagged.
 const WARN_PCT: f64 = 10.0;
@@ -72,13 +74,14 @@ fn compare(baseline_path: &str, current_path: &str) -> Result<(), Box<dyn std::e
     flatten(&parse(&baseline_text)?, "", &mut baseline);
     flatten(&parse(&current_text)?, "", &mut current);
 
-    println!("\n== {current_path} vs baseline {baseline_path}");
-    table_row!("leaf", "baseline", "current", "delta", "");
+    let mut r = Report::default();
+    writeln!(r, "\n== {current_path} vs baseline {baseline_path}")?;
+    table_row!(r, "leaf", "baseline", "current", "delta", "");
     let mut warned = 0usize;
     let mut shown = 0usize;
     for (path, &base) in &baseline {
         let Some(&cur) = current.get(path) else {
-            println!("  missing in current: {path}");
+            writeln!(r, "  missing in current: {path}")?;
             continue;
         };
         if cur == base {
@@ -95,6 +98,7 @@ fn compare(baseline_path: &str, current_path: &str) -> Result<(), Box<dyn std::e
         }
         shown += 1;
         table_row!(
+            r,
             path,
             format!("{base}"),
             format!("{cur}"),
@@ -104,17 +108,23 @@ fn compare(baseline_path: &str, current_path: &str) -> Result<(), Box<dyn std::e
     }
     for path in current.keys() {
         if !baseline.contains_key(path) {
-            println!("  new leaf (no baseline): {path}");
+            writeln!(r, "  new leaf (no baseline): {path}")?;
         }
     }
     if shown == 0 {
-        println!("  all {} shared numeric leaves identical", baseline.len());
+        writeln!(
+            r,
+            "  all {} shared numeric leaves identical",
+            baseline.len()
+        )?;
     } else {
-        println!(
+        writeln!(
+            r,
             "  {shown} leaves moved, {warned} beyond the {WARN_PCT:.0}% warn threshold \
              (informational only — wall-clock rates vary by host)"
-        );
+        )?;
     }
+    print!("{}", r.text);
     Ok(())
 }
 

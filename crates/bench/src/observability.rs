@@ -1,13 +1,13 @@
-//! E21/E25 — observability: the packet-lifecycle tracer, the metrics
+//! E21 and E25 — observability: the packet-lifecycle tracer, the metrics
 //! registry, interval telemetry with congestion analytics, causal
 //! service spans and the combined Perfetto exporter, demonstrated
 //! end-to-end and held to the same determinism contract as the
 //! simulation itself.
 //!
-//! Five sections:
+//! E21 has four sections, E25 one:
 //!
-//! 1. **Determinism** — healthy, faulted and degraded workloads each run
-//!    under the reference, active and parallel kernels; the exported
+//! 1. **Determinism** — healthy, faulted, degraded, torus and chiplet
+//!    workloads each run under every kernel; the exported
 //!    Perfetto document, Prometheus exposition and metrics JSON must be
 //!    byte-identical across all of them (the span stream rides the same
 //!    `ShardDelta` merge as the simulation state), and every Perfetto
@@ -35,9 +35,6 @@
 //!    `TIMESERIES_observability.json` / `.prom` plus the human-readable
 //!    `RUN_REPORT_observability.md` built back out of the exported
 //!    artifact.
-//!
-//! Run with `cargo run --release -p multinoc-bench --bin
-//! exp_observability` (set `EXP_OBS_SMOKE=1` for the fast CI variant).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -50,116 +47,117 @@ use hermes_noc::{
 };
 use multinoc::serial::SerialConfig;
 use multinoc::{NodeId, System};
-use multinoc_bench::json::{parse, validate_time_series_json, validate_trace_event_json, Json};
-use multinoc_bench::table_row;
 use r8::asm::assemble;
+
+use crate::json::{parse, validate_time_series_json, validate_trace_event_json, Json};
+use crate::{agree, kernels, table_row, BoxError, Report, Scale};
 
 /// Seed shared by every workload.
 const SEED: u64 = 0xE21_0B5;
-
-/// Workload scale: 1 for the CI smoke run, 8 for the full measurement.
-fn scale() -> u64 {
-    if std::env::var_os("EXP_OBS_SMOKE").is_some() {
-        1
-    } else {
-        8
-    }
-}
-
-/// Kernels every export is checked across: the acceptance bar is that
-/// observability output never depends on the engine that produced it.
-const KERNELS: [KernelMode; 4] = [
-    KernelMode::Reference,
-    KernelMode::Active,
-    KernelMode::Parallel { threads: 2 },
-    KernelMode::Parallel { threads: 8 },
-];
 
 /// One deterministic workload the determinism section replays per kernel.
 struct Workload {
     name: &'static str,
     config: NocConfig,
     plan: Option<FaultPlan>,
-    packets: usize,
+    packets: u64,
     spacing: u64,
     cycles: u64,
 }
 
+/// `(name, config, fault plan, packets, spacing, cycles)`, with packets
+/// and cycles multiplied by `scale`.
+fn workload(
+    scale: u64,
+    (name, config, plan, packets, spacing, cycles): (
+        &'static str,
+        NocConfig,
+        Option<FaultPlan>,
+        u64,
+        u64,
+        u64,
+    ),
+) -> Workload {
+    Workload {
+        name,
+        config,
+        plan,
+        packets: packets * scale,
+        spacing,
+        cycles: cycles * scale,
+    }
+}
+
+/// The determinism section's workloads; the last two (torus and chiplet)
+/// also feed the telemetry section.
 fn workloads(scale: u64) -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "healthy",
-            config: NocConfig::mesh(4, 4),
-            plan: None,
-            packets: 40 * scale as usize,
-            spacing: 9,
-            cycles: 2_000 * scale,
-        },
-        Workload {
-            name: "faulted",
-            config: NocConfig::mesh(3, 3),
-            plan: Some(
-                FaultPlan::new(SEED)
-                    .with_drop_rate(0.1)
-                    .with_corrupt_rate(0.1)
-                    .with_router_stall(RouterAddr::new(1, 1), CycleWindow::new(100, 600)),
-            ),
-            packets: 30 * scale as usize,
-            spacing: 17,
-            cycles: 1_500 * scale,
-        },
-        Workload {
-            name: "degraded",
-            config: NocConfig::mesh(3, 3).with_routing(Routing::FaultTolerantXy),
-            plan: Some(FaultPlan::new(SEED ^ 0xDE6).with_link_down(
-                RouterAddr::new(1, 1),
-                Port::East,
-                CycleWindow::open_ended(0),
-            )),
-            packets: 30 * scale as usize,
-            spacing: 23,
-            cycles: 2_000 * scale,
-        },
-        Workload {
-            name: "torus",
-            config: NocConfig::torus(4, 4),
-            plan: None,
-            packets: 40 * scale as usize,
-            spacing: 11,
-            cycles: 2_000 * scale,
-        },
-        Workload {
-            name: "chiplet",
-            config: NocConfig::chiplet(2, 2, D2dChannel::OffChipSerial),
-            plan: None,
-            packets: 40 * scale as usize,
-            spacing: 11,
-            cycles: 2_000 * scale,
-        },
+    let faulted = FaultPlan::new(SEED)
+        .with_drop_rate(0.1)
+        .with_corrupt_rate(0.1)
+        .with_router_stall(RouterAddr::new(1, 1), CycleWindow::new(100, 600));
+    let dead_link = FaultPlan::new(SEED ^ 0xDE6).with_link_down(
+        RouterAddr::new(1, 1),
+        Port::East,
+        CycleWindow::open_ended(0),
+    );
+    let chiplet = NocConfig::chiplet(2, 2, D2dChannel::OffChipSerial);
+    let ft = NocConfig::mesh(3, 3).with_routing(Routing::FaultTolerantXy);
+    [
+        ("healthy", NocConfig::mesh(4, 4), None, 40, 9, 2_000),
+        (
+            "faulted",
+            NocConfig::mesh(3, 3),
+            Some(faulted),
+            30,
+            17,
+            1_500,
+        ),
+        ("degraded", ft, Some(dead_link), 30, 23, 2_000),
+        ("torus", NocConfig::torus(4, 4), None, 40, 11, 2_000),
+        ("chiplet", chiplet, None, 40, 11, 2_000),
     ]
+    .into_iter()
+    .map(|w| workload(scale, w))
+    .collect()
+}
+
+/// Builds `w`'s network under `kernel`, then injects packet `k` at cycle
+/// `k * spacing` between the router indices `route(k, routers)`.
+fn drive(
+    w: &Workload,
+    config: NocConfig,
+    setup: impl FnOnce(&mut Noc),
+    route: impl Fn(u64, u64) -> (u64, u64),
+) -> Noc {
+    let mut noc = Noc::new(config).expect("valid config");
+    setup(&mut noc);
+    if let Some(plan) = &w.plan {
+        noc.set_fault_plan(plan.clone()).expect("valid fault plan");
+    }
+    let width = w.config.width();
+    let nodes = u64::from(width) * u64::from(w.config.height());
+    let mut next = 0u64;
+    for cycle in 0..w.cycles {
+        while next < w.packets && next * w.spacing == cycle {
+            let (s, d) = route(next, nodes);
+            let packet = Packet::new(addr_of(d, width), vec![(next % 200) as u16; 3]);
+            let _ = noc.send(addr_of(s, width), packet);
+            next += 1;
+        }
+        noc.step();
+    }
+    noc
 }
 
 /// Runs one workload under one kernel with tracing on and returns the
 /// three exported artifacts.
 fn run_traced(w: &Workload, kernel: KernelMode) -> (String, String, String) {
-    let mut noc = Noc::new(w.config.clone().with_kernel_mode(kernel)).expect("valid config");
-    noc.enable_packet_trace(2_048);
-    if let Some(plan) = &w.plan {
-        noc.set_fault_plan(plan.clone()).expect("valid fault plan");
-    }
-    let nodes = u64::from(w.config.width()) * u64::from(w.config.height());
-    let mut next = 0u64;
-    for cycle in 0..w.cycles {
-        while next < w.packets as u64 && next * w.spacing == cycle {
-            let s = next % nodes;
-            let d = (next * 7 + 3) % nodes;
-            let src = addr_of(s, w.config.width());
-            let dst = addr_of(d, w.config.width());
-            let _ = noc.send(src, Packet::new(dst, vec![(next % 200) as u16; 3]));
-            next += 1;
-        }
-        noc.step();
-    }
+    let noc = drive(
+        w,
+        w.config.clone().with_kernel_mode(kernel),
+        |noc| noc.enable_packet_trace(2_048),
+        |k, nodes| (k % nodes, (k * 7 + 3) % nodes),
+    );
     let metrics = noc.metrics();
     (
         noc.packet_trace().expect("enabled").perfetto_json(),
@@ -185,36 +183,16 @@ const BATCH_WINDOWS: [u32; 2] = [1, 16];
 /// torus and chiplet topologies so the exported labels carry `:wrap`
 /// and `:d2d` annotations.
 fn telemetry_workloads(scale: u64) -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "hotspot",
-            config: NocConfig::mesh(4, 4),
-            plan: None,
-            packets: 600 * scale as usize,
-            spacing: 2,
-            cycles: 2_000 * scale,
-        },
-        Workload {
-            name: "torus",
-            config: NocConfig::torus(4, 4),
-            plan: None,
-            packets: 40 * scale as usize,
-            spacing: 11,
-            cycles: 2_000 * scale,
-        },
-        Workload {
-            name: "chiplet",
-            config: NocConfig::chiplet(2, 2, D2dChannel::OffChipSerial),
-            plan: None,
-            packets: 40 * scale as usize,
-            spacing: 11,
-            cycles: 2_000 * scale,
-        },
-    ]
+    let hotspot = ("hotspot", NocConfig::mesh(4, 4), None, 600, 2, 2_000);
+    let mut all = workloads(scale);
+    all.retain(|w| matches!(w.name, "torus" | "chiplet"));
+    all.insert(0, workload(scale, hotspot));
+    all
 }
 
 /// The exported telemetry of one workload under one kernel and batch
 /// window, plus the sampler counters the report summarizes.
+#[derive(Debug, PartialEq)]
 struct TelemetryRun {
     json: String,
     prom: String,
@@ -224,43 +202,27 @@ struct TelemetryRun {
 }
 
 /// Runs one workload with the interval sampler on and returns its
-/// exports. The `hotspot` workload aims every packet at router (0,0);
-/// the rest reuse the determinism section's scatter pattern.
+/// exports. The `hotspot` workload aims every packet at router (0,0)
+/// from sources off row 0, so with XY routing the whole load converges
+/// on the single (0,1)->(0,0) link and holds it saturated — the
+/// sustained-congestion alarm must trip. The rest scatter packets from
+/// every router but 0.
 fn run_telemetry(w: &Workload, kernel: KernelMode, batch_window: u32) -> TelemetryRun {
-    let mut noc = Noc::new(
-        w.config
-            .clone()
-            .with_kernel_mode(kernel)
-            .with_batch_window(batch_window),
-    )
-    .expect("valid config");
-    noc.enable_telemetry(TelemetryConfig::default());
-    if let Some(plan) = &w.plan {
-        noc.set_fault_plan(plan.clone()).expect("valid fault plan");
-    }
-    let nodes = u64::from(w.config.width()) * u64::from(w.config.height());
     let width = u64::from(w.config.width());
     let hotspot = w.name == "hotspot";
-    let mut next = 0u64;
-    for cycle in 0..w.cycles {
-        while next < w.packets as u64 && next * w.spacing == cycle {
-            // The hotspot pattern funnels every packet at router (0,0)
-            // from sources off row 0, so with XY routing the whole load
-            // converges on the single (0,1)->(0,0) link and holds it
-            // saturated — the sustained-congestion alarm must trip.
-            let s = if hotspot {
-                width + next % (nodes - width)
+    let config = w.config.clone().with_kernel_mode(kernel);
+    let noc = drive(
+        w,
+        config.with_batch_window(batch_window),
+        |noc| noc.enable_telemetry(TelemetryConfig::default()),
+        |k, nodes| {
+            if hotspot {
+                (width + k % (nodes - width), 0)
             } else {
-                1 + next % (nodes - 1)
-            };
-            let d = if hotspot { 0 } else { (next * 7 + 3) % nodes };
-            let src = addr_of(s, w.config.width());
-            let dst = addr_of(d, w.config.width());
-            let _ = noc.send(src, Packet::new(dst, vec![(next % 200) as u16; 3]));
-            next += 1;
-        }
-        noc.step();
-    }
+                (1 + k % (nodes - 1), (k * 7 + 3) % nodes)
+            }
+        },
+    );
     let telemetry = noc.telemetry().expect("enabled");
     TelemetryRun {
         frames: telemetry.frames_total(),
@@ -553,14 +515,22 @@ fn run_report(ts_json: &str, config: &NocConfig, system: &SystemRun, scale: u64)
     out
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale();
-    println!("E21/E25: observability (seed {SEED:#x}, scale {scale}x)");
-    println!("every export is checked byte-identical across kernels and");
-    println!("validated against the Chrome trace-event schema\n");
+/// E21 — packet traces, metrics and the combined Perfetto export,
+/// byte-identical across kernels; writes the heatmap, trace and metrics
+/// artifacts.
+pub fn observability(s: Scale, r: &mut Report) -> Result<(), BoxError> {
+    let scale = s.pick(1, 8);
+    let kernel_set = kernels(s);
+    writeln!(
+        r,
+        "E21: observability (seed {SEED:#x}, scale {scale}x)\n\
+         every export is checked byte-identical across kernels and\n\
+         validated against the Chrome trace-event schema\n"
+    )?;
 
     // 1. Determinism of the exported artifacts.
     table_row!(
+        r,
         "workload",
         "trace events",
         "trace bytes",
@@ -570,36 +540,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut metrics_by_name: std::collections::BTreeMap<&'static str, (Topology, String)> =
         std::collections::BTreeMap::new();
     for w in workloads(scale) {
-        let reference = run_traced(&w, KERNELS[0]);
-        for &kernel in &KERNELS[1..] {
-            let got = run_traced(&w, kernel);
-            assert_eq!(
-                reference.0, got.0,
-                "{}: Perfetto diverged ({kernel:?})",
-                w.name
-            );
-            assert_eq!(
-                reference.1, got.1,
-                "{}: Prometheus diverged ({kernel:?})",
-                w.name
-            );
-            assert_eq!(
-                reference.2, got.2,
-                "{}: metrics JSON diverged ({kernel:?})",
-                w.name
-            );
-        }
-        let events = validate_trace_event_json(&reference.0)
+        let (perfetto, _, metrics_json) = agree(kernel_set, |kernel| run_traced(&w, kernel));
+        let events = validate_trace_event_json(&perfetto)
             .unwrap_or_else(|e| panic!("{}: schema violation: {e}", w.name));
-        parse(&reference.2).expect("metrics JSON parses");
+        parse(&metrics_json).expect("metrics JSON parses");
         table_row!(
+            r,
             w.name,
             events,
-            reference.0.len(),
-            KERNELS.len(),
+            perfetto.len(),
+            kernel_set.len(),
             "identical"
         );
-        metrics_by_name.insert(w.name, (w.config.topology, reference.2));
+        metrics_by_name.insert(w.name, (w.config.topology, metrics_json));
     }
 
     // 2. Instrumentation overhead: same simulated outcome, reported (not
@@ -611,7 +564,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         off_obs, on_obs,
         "enabling the tracer changed the simulated outcome"
     );
-    println!(
+    writeln!(
+        r,
         "\noverhead: saturated 8x8, {} cycles, {} packets —\n\
          tracing off {:.0} c/s, on {:.0} c/s ({:+.1}% wall clock);\n\
          simulated observables identical",
@@ -620,7 +574,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         off_obs.0 as f64 / off_secs,
         on_obs.0 as f64 / on_secs,
         100.0 * (on_secs / off_secs - 1.0),
-    );
+    )?;
 
     // 3. Per-link utilization heatmap, consumed from the registry JSON.
     let (degraded_topology, degraded_metrics_json) = metrics_by_name
@@ -628,8 +582,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("degraded workload ran");
     let mut links = link_utilization_from_json(degraded_metrics_json, degraded_topology);
     links.sort_by(|a, b| b.2.total_cmp(&a.2));
-    println!("\nlink-utilization heatmap (degraded 3x3, busiest outgoing");
-    println!("mesh link per router, % of capacity; X marks the dead link):");
+    writeln!(
+        r,
+        "\nlink-utilization heatmap (degraded 3x3, busiest outgoing\n\
+         mesh link per router, % of capacity; X marks the dead link):"
+    )?;
     let mut dump = String::from("link utilization (degraded 3x3 fault-tolerant mesh)\n");
     for (addr, port, util) in &links {
         let _ = writeln!(dump, "{addr}:{port} {util:.4}");
@@ -646,16 +603,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let marker = if x == 1 && y == 1 { "X" } else { " " };
             let _ = write!(row, "[{:>3.0}%{marker}] ", peak * 100.0);
         }
-        println!("{row}");
+        writeln!(r, "{row}")?;
     }
     let hottest = links.first().expect("at least one link");
-    println!(
+    writeln!(
+        r,
         "  hottest link {}:{} at {:.1}% — traffic detours around the dead",
         hottest.0,
         hottest.1,
         hottest.2 * 100.0
-    );
-    println!("  (1,1)->East link, exactly what the fault-tolerant router promises");
+    )?;
+    writeln!(
+        r,
+        "  (1,1)->East link, exactly what the fault-tolerant router promises"
+    )?;
 
     // 3b. Topology-labelled heatmaps: the same exporter path decodes
     // the torus ":wrap" and hierarchical chiplet ":d2d" names, and the
@@ -674,7 +635,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .find(|(a, p, _)| special(*a, *p))
             .expect("uniform traffic crosses wrap/off-chip links");
-        println!(
+        writeln!(
+            r,
             "  {name}: hottest {} link {} at {:.1}% of capacity",
             if topology.is_off_chip(hottest_special.0, hottest_special.1) {
                 "off-chip"
@@ -683,18 +645,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
             topology.link_label((hottest_special.0, hottest_special.1)),
             hottest_special.2 * 100.0
-        );
+        )?;
     }
-    std::fs::write("HEATMAP_utilization.txt", &dump)?;
+    r.artifact("HEATMAP_utilization.txt", dump);
 
     // 4. Combined system export, again identical across kernels — now
     // including the causal service spans and their flow arrows.
-    let system = system_run(KernelMode::Active);
-    let parallel = system_run(KernelMode::Parallel { threads: 2 });
-    assert_eq!(
-        system, parallel,
-        "system-level exports diverged between kernels"
-    );
+    let system = agree(kernel_set, system_run);
     let events = validate_trace_event_json(&system.perfetto)?;
     assert!(
         system.perfetto.contains("\"ph\":\"X\"") && system.perfetto.contains("\"ph\":\"i\""),
@@ -710,10 +667,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         system.spans_completed > 0,
         "the remote-memory program must complete service spans"
     );
-    std::fs::write("TRACE_perfetto.json", &system.perfetto)?;
-    std::fs::write("METRICS_observability.json", &system.metrics_json)?;
-    std::fs::write("METRICS_observability.prom", &system.metrics_prom)?;
-    println!(
+    writeln!(
+        r,
         "\nsystem export: {} trace events ({} bytes) from a full boot-and-run,\n\
          packet spans, service instants and {} causal service spans\n\
          ({} completed) interleaved, byte-identical across kernels",
@@ -721,74 +676,74 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         system.perfetto.len(),
         system.spans_total,
         system.spans_completed
-    );
+    )?;
+    r.artifact("TRACE_perfetto.json", system.perfetto);
+    r.artifact("METRICS_observability.json", system.metrics_json);
+    r.artifact("METRICS_observability.prom", system.metrics_prom);
+    Ok(())
+}
 
-    // 5. E25 — interval telemetry and congestion analytics, swept across
-    // kernels and batch windows. Sampling happens only at fully merged
-    // cycle boundaries (parallel windows are clamped so none straddles
-    // one), so every export must be byte-identical.
-    println!("\nE25: interval telemetry across kernels x batch windows");
-    table_row!("workload", "frames", "raised", "cleared", "runs", "verdict");
+/// E25 — interval telemetry and congestion analytics, swept across
+/// kernels and batch windows. Sampling happens only at fully merged
+/// cycle boundaries (parallel windows are clamped so none straddles
+/// one), so every export must be byte-identical. Writes the hotspot
+/// time series and the run report rebuilt from it.
+pub fn telemetry(s: Scale, r: &mut Report) -> Result<(), BoxError> {
+    let scale = s.pick(1, 8);
+    let kernel_set = kernels(s);
+    writeln!(r, "E25: interval telemetry across kernels x batch windows")?;
+    table_row!(r, "workload", "frames", "raised", "cleared", "runs", "verdict");
     let mut hotspot_series: Option<(TelemetryRun, NocConfig)> = None;
     for w in telemetry_workloads(scale) {
-        let mut runs = Vec::new();
-        for &kernel in &KERNELS {
-            for &window in &BATCH_WINDOWS {
-                runs.push((kernel, window, run_telemetry(&w, kernel, window)));
+        let series = agree(kernel_set, |kernel| {
+            let [first, rest @ ..] = BATCH_WINDOWS.map(|window| run_telemetry(&w, kernel, window));
+            for (got, window) in rest.iter().zip(&BATCH_WINDOWS[1..]) {
+                assert_eq!(
+                    &first, got,
+                    "{}: time series diverged ({kernel:?}, window {window})",
+                    w.name
+                );
             }
-        }
-        let (_, _, reference) = &runs[0];
-        for (kernel, window, got) in &runs[1..] {
-            assert_eq!(
-                reference.json, got.json,
-                "{}: time-series JSON diverged ({kernel:?}, window {window})",
-                w.name
-            );
-            assert_eq!(
-                reference.prom, got.prom,
-                "{}: time-series Prometheus diverged ({kernel:?}, window {window})",
-                w.name
-            );
-        }
-        let retained = validate_time_series_json(&reference.json)
+            first
+        });
+        let retained = validate_time_series_json(&series.json)
             .unwrap_or_else(|e| panic!("{}: time-series schema violation: {e}", w.name));
         assert_eq!(
             retained as u64,
-            reference.frames.min(1_024),
+            series.frames.min(1_024),
             "{}: exported frame count disagrees with the sampler",
             w.name
         );
         table_row!(
+            r,
             w.name,
-            reference.frames,
-            reference.alerts_raised,
-            reference.alerts_cleared,
-            runs.len(),
+            series.frames,
+            series.alerts_raised,
+            series.alerts_cleared,
+            kernel_set.len() * BATCH_WINDOWS.len(),
             "identical"
         );
         if w.name == "hotspot" {
             assert!(
-                reference.alerts_raised > 0,
+                series.alerts_raised > 0,
                 "the hotspot workload must trip the sustained-congestion alarm"
             );
-            hotspot_series = Some((runs.swap_remove(0).2, w.config));
+            hotspot_series = Some((series, w.config));
         }
     }
     let (hotspot, hotspot_config) = hotspot_series.expect("hotspot workload ran");
-    std::fs::write("TIMESERIES_observability.json", &hotspot.json)?;
-    std::fs::write("TIMESERIES_observability.prom", &hotspot.prom)?;
+    // The spans section of the report: E21 proves the system run is
+    // kernel-independent, so one run under the default kernel serves.
+    let system = system_run(KernelMode::Active);
     let report = run_report(&hotspot.json, &hotspot_config, &system, scale);
-    std::fs::write("RUN_REPORT_observability.md", &report)?;
-    println!(
+    writeln!(
+        r,
         "\nrun report: {} bytes of markdown rebuilt from the exported\n\
          time series (not from simulator internals)",
         report.len()
-    );
-    println!(
-        "\nartifacts: TRACE_perfetto.json (load in ui.perfetto.dev),\n\
-         METRICS_observability.json, METRICS_observability.prom,\n\
-         HEATMAP_utilization.txt, TIMESERIES_observability.json,\n\
-         TIMESERIES_observability.prom, RUN_REPORT_observability.md"
-    );
+    )?;
+    r.artifact("TIMESERIES_observability.json", hotspot.json);
+    r.artifact("TIMESERIES_observability.prom", hotspot.prom);
+    r.artifact("RUN_REPORT_observability.md", report);
     Ok(())
 }

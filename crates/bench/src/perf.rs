@@ -17,13 +17,11 @@
 //! sea-of-processors mesh, again asserting bit-identical observables
 //! against the sequential kernel before recording any rate. Thread
 //! speedups are *observations* of this host (recorded with its CPU
-//! count in `BENCH_parallel.json`), never assertions — a single-core CI
-//! runner legitimately reports ≤1×.
-//!
-//! Run with `cargo run --release -p multinoc-bench --bin exp_perf`
-//! (set `EXP_PERF_SMOKE=1` for the fast CI variant).
+//! count in `BENCH_parallel.json`); the one gate is that threads=2 is
+//! not slower than threads=1 on the saturated mesh of a ≥2-CPU host.
 
 use std::fmt::Write as _;
+
 use std::time::Instant;
 
 use hermes_noc::traffic::{Pattern, TrafficGen};
@@ -35,17 +33,10 @@ use multinoc::serial::{HostCommand, SerialConfig, SYNC_BYTE};
 use multinoc::{NodeId, System};
 use r8::asm::assemble;
 
+use crate::{fixed, BoxError, Obj, Report, Scale};
+
 /// Seed shared by every workload.
 const SEED: u64 = 0xE20_BEEF;
-
-/// Workload scale: 1 for the CI smoke run, 10 for the full measurement.
-fn scale() -> u64 {
-    if std::env::var_os("EXP_PERF_SMOKE").is_some() {
-        1
-    } else {
-        10
-    }
-}
 
 /// Simulated observables that must be identical across kernels for the
 /// same workload — the differential guard on every speed number.
@@ -85,6 +76,11 @@ struct Measured {
 }
 
 impl Measured {
+    /// Simulated cycles per wall-clock second.
+    fn cps(&self) -> f64 {
+        self.fingerprint.cycles as f64 / self.seconds
+    }
+
     /// Captures everything a workload reports: the differential
     /// fingerprint, the elapsed wall clock, the latency percentiles and
     /// (when profiling) the phase breakdown.
@@ -220,61 +216,6 @@ fn sweep_threads(host_cpus: usize) -> Vec<(usize, bool)> {
     threads
 }
 
-/// One parallel sweep point: rate plus the profiler's phase breakdown.
-struct SweepPoint {
-    threads: usize,
-    /// More worker threads than host CPUs: recorded for visibility, not
-    /// part of the scaling curve.
-    oversubscribed: bool,
-    cps: f64,
-    phases: Option<PhaseProfile>,
-}
-
-struct ParallelRow {
-    name: &'static str,
-    detail: String,
-    cycles: u64,
-    /// Sequential active-set kernel, the speedup baseline.
-    active_cps: f64,
-    per_threads: Vec<SweepPoint>,
-}
-
-/// Runs `run` under the sequential kernel and under the parallel kernel
-/// at every sweep thread count, asserting all fingerprints identical
-/// before any rate is recorded.
-fn sweep(
-    name: &'static str,
-    detail: String,
-    cycles: u64,
-    threads: &[(usize, bool)],
-    run: impl Fn(KernelMode, u64) -> Measured,
-) -> ParallelRow {
-    let active = run(KernelMode::Active, cycles);
-    let per_threads = threads
-        .iter()
-        .map(|&(threads, oversubscribed)| {
-            let parallel = run(KernelMode::Parallel { threads }, cycles);
-            assert_eq!(
-                active.fingerprint, parallel.fingerprint,
-                "{name}: parallel kernel at {threads} threads disagrees on the simulated outcome"
-            );
-            SweepPoint {
-                threads,
-                oversubscribed,
-                cps: parallel.fingerprint.cycles as f64 / parallel.seconds,
-                phases: parallel.phases,
-            }
-        })
-        .collect();
-    ParallelRow {
-        name,
-        detail,
-        cycles: active.fingerprint.cycles,
-        active_cps: active.fingerprint.cycles as f64 / active.seconds,
-        per_threads,
-    }
-}
-
 /// One full host-driven MultiNoC run over a real-baud serial link with
 /// lossy delivery: sync, activate P1 over the wire, run a small program
 /// to halt. Nearly all cycles sit in baud-tick and retransmission-
@@ -357,160 +298,196 @@ fn peak_rss_kib() -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-struct Row {
-    name: &'static str,
-    detail: String,
-    cycles: u64,
-    reference_cps: f64,
-    active_cps: f64,
-    /// End-to-end latency `(p50, p95, p99)` in cycles (identical across
-    /// kernels — part of the simulated outcome).
-    latency: (Option<u64>, Option<u64>, Option<u64>),
-    rss_kib: Option<u64>,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.active_cps / self.reference_cps
-    }
-}
-
-fn measure(
-    name: &'static str,
-    detail: String,
-    cycles: u64,
-    run: impl Fn(KernelMode, u64) -> Measured,
-) -> Row {
-    let reference = run(KernelMode::Reference, cycles);
-    let active = run(KernelMode::Active, cycles);
-    assert_eq!(
-        reference.fingerprint, active.fingerprint,
-        "{name}: kernels disagree on the simulated outcome"
-    );
-    assert_eq!(
-        reference.latency, active.latency,
-        "{name}: kernels disagree on the latency percentiles"
-    );
-    Row {
-        name,
-        detail,
-        cycles: reference.fingerprint.cycles,
-        reference_cps: reference.fingerprint.cycles as f64 / reference.seconds,
-        active_cps: active.fingerprint.cycles as f64 / active.seconds,
-        latency: active.latency,
-        rss_kib: peak_rss_kib(),
-    }
-}
-
 /// Renders an optional cycle count for a table cell.
 fn opt_cycles(v: Option<u64>) -> String {
     v.map_or_else(|| "-".into(), |c| c.to_string())
 }
 
-/// Renders an optional cycle count as a JSON value.
-fn opt_json(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".into(), |c| c.to_string())
-}
+/// One E20 workload: name, description, cycles at scale 1, driver.
+type Workload = (
+    &'static str,
+    &'static str,
+    u64,
+    fn(KernelMode, u64) -> Measured,
+);
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
+/// E20 — kernel and fast-forward performance, differential-checked;
+/// writes `BENCH_perf.json` and `BENCH_parallel.json`.
+pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
+    // The RSS proxy below is this experiment's own peak, not that of
+    // whatever ran earlier in the process ("5" resets VmHWM on Linux).
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+    let scale = s.pick(1, 10);
+    writeln!(
+        r,
         "E20: simulation-kernel performance (seed {SEED:#x}, scale {scale}x)\n\
          cycles/second, host wall clock; every workload runs under both\n\
          kernels and must produce identical simulated observables\n"
-    );
-
-    let rows = vec![
-        measure(
-            "idle_heavy",
-            "16x16 mesh, 4-packet burst every 4k cycles".into(),
-            20_000 * scale,
-            idle_heavy,
-        ),
-        measure(
+    )?;
+    writeln!(
+        r,
+        "  {:<12} {:>12} {:>15} {:>15} {:>9}",
+        "workload", "cycles", "reference c/s", "active c/s", "speedup"
+    )?;
+    let idle_detail = "16x16 mesh, 4-packet burst every 4k cycles";
+    let sequential: [Workload; 3] = [
+        ("idle_heavy", idle_detail, 20_000, idle_heavy),
+        (
             "saturated",
-            "8x8 mesh, uniform traffic at 0.25 flits/node/cycle".into(),
-            4_000 * scale,
+            "8x8 mesh, uniform traffic at 0.25 flits/node/cycle",
+            4_000,
             saturated,
         ),
-        measure(
+        (
             "degraded",
-            "8x8 fault-tolerant mesh, 2 permanent dead links".into(),
-            4_000 * scale,
+            "8x8 fault-tolerant mesh, 2 permanent dead links",
+            4_000,
             degraded,
         ),
     ];
-
-    let _ = writeln!(
-        out,
-        "  {:<12} {:>12} {:>15} {:>15} {:>9}",
-        "workload", "cycles", "reference c/s", "active c/s", "speedup"
-    );
-    for r in &rows {
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>12} {:>15.0} {:>15.0} {:>8.1}x",
-            r.name,
-            r.cycles,
-            r.reference_cps,
-            r.active_cps,
-            r.speedup()
+    let mut workloads = Vec::new();
+    for (name, detail, cycles, run) in sequential {
+        let reference = run(KernelMode::Reference, cycles * scale);
+        let active = run(KernelMode::Active, cycles * scale);
+        assert_eq!(
+            reference.fingerprint, active.fingerprint,
+            "{name}: kernels disagree on the simulated outcome"
         );
-        let _ = writeln!(
-            out,
-            "               ({}; latency p50/p95/p99 {}/{}/{} cycles)",
-            r.detail,
-            opt_cycles(r.latency.0),
-            opt_cycles(r.latency.1),
-            opt_cycles(r.latency.2),
+        assert_eq!(
+            reference.latency, active.latency,
+            "{name}: kernels disagree on the latency percentiles"
+        );
+        let (p50, p95, p99) = active.latency;
+        let speedup = active.cps() / reference.cps();
+        writeln!(
+            r,
+            "  {:<12} {:>12} {:>15.0} {:>15.0} {:>8.1}x",
+            name,
+            active.fingerprint.cycles,
+            reference.cps(),
+            active.cps(),
+            speedup
+        )?;
+        writeln!(
+            r,
+            "               ({detail}; latency p50/p95/p99 {}/{}/{} cycles)",
+            opt_cycles(p50),
+            opt_cycles(p95),
+            opt_cycles(p99),
+        )?;
+        workloads.push(
+            Obj::new()
+                .with("name", name)
+                .with("cycles", active.fingerprint.cycles)
+                .with("reference_cycles_per_sec", fixed(reference.cps(), 0))
+                .with("active_cycles_per_sec", fixed(active.cps(), 0))
+                .with("speedup", fixed(speedup, 2))
+                .with("latency_p50", p50)
+                .with("latency_p95", p95)
+                .with("latency_p99", p99)
+                .with("peak_rss_kib", peak_rss_kib()),
         );
     }
 
     // Parallel-kernel thread sweep: observations, not assertions — the
     // only hard requirement is bit-identical simulated outcomes, checked
-    // inside `sweep` before any rate is recorded.
+    // against the sequential kernel before any rate is recorded.
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let threads = sweep_threads(host_cpus);
-    let parallel_rows = vec![
-        sweep(
-            "idle_heavy_16x16",
-            "16x16 mesh, 4-packet burst every 4k cycles".into(),
-            20_000 * scale,
-            &threads,
-            idle_heavy,
-        ),
-        sweep(
+    writeln!(
+        r,
+        "\n  parallel kernel thread sweep (host has {host_cpus} CPU(s);\n\
+         sweep clamped to host parallelism, one oversubscribed point kept;\n\
+         speedups are wall-clock observations on this host):"
+    )?;
+    let parallel: [Workload; 2] = [
+        ("idle_heavy_16x16", idle_detail, 20_000, idle_heavy),
+        (
             "sea_saturated_32x32",
             "32x32 mesh (10-bit flits), uniform traffic at 0.2 flits/node/cycle, \
-             16-cycle batched windows"
-                .into(),
-            1_500 * scale,
-            &threads,
+             16-cycle batched windows",
+            1_500,
             sea_saturated,
         ),
     ];
+    let mut parallel_workloads = Vec::new();
+    let mut sea_rates = Vec::new();
+    for (name, detail, cycles, run) in parallel {
+        let active = run(KernelMode::Active, cycles * scale);
+        writeln!(
+            r,
+            "  {:<20} {:>12} cycles, active {:>12.0} c/s",
+            name,
+            active.fingerprint.cycles,
+            active.cps()
+        )?;
+        let mut points = Vec::new();
+        for (threads, oversubscribed) in sweep_threads(host_cpus) {
+            let p = run(KernelMode::Parallel { threads }, cycles * scale);
+            assert_eq!(
+                active.fingerprint, p.fingerprint,
+                "{name}: parallel kernel at {threads} threads disagrees on the simulated outcome"
+            );
+            if name == "sea_saturated_32x32" {
+                sea_rates.push((threads, p.cps()));
+            }
+            writeln!(
+                r,
+                "    {threads} thread(s): {:>12.0} c/s ({:.2}x vs active){}",
+                p.cps(),
+                p.cps() / active.cps(),
+                if oversubscribed {
+                    " [oversubscribed]"
+                } else {
+                    ""
+                },
+            )?;
+            let phases = p.phases.as_ref().map(|ph| {
+                let pct = |nanos: u64| 100.0 * nanos as f64 / ph.total_nanos().max(1) as f64;
+                let _ = writeln!(
+                    r,
+                    "      phases: local {:.0}% decide {:.0}% apply-src {:.0}% \
+                     apply-dst {:.0}% barrier {:.0}%",
+                    pct(ph.local_nanos),
+                    pct(ph.decide_nanos),
+                    pct(ph.apply_src_nanos),
+                    pct(ph.apply_dst_nanos),
+                    pct(ph.barrier_nanos),
+                );
+                Obj::new()
+                    .with("local_nanos", ph.local_nanos)
+                    .with("decide_nanos", ph.decide_nanos)
+                    .with("apply_src_nanos", ph.apply_src_nanos)
+                    .with("apply_dst_nanos", ph.apply_dst_nanos)
+                    .with("barrier_nanos", ph.barrier_nanos)
+                    .with("barrier_fraction", fixed(ph.barrier_fraction(), 4))
+            });
+            points.push(
+                Obj::new()
+                    .with("threads", threads)
+                    .with("oversubscribed", oversubscribed)
+                    .with("cycles_per_sec", fixed(p.cps(), 0))
+                    .with("speedup_vs_active", fixed(p.cps() / active.cps(), 3))
+                    .with("phases", phases),
+            );
+        }
+        writeln!(r, "               ({detail})")?;
+        parallel_workloads.push(
+            Obj::new()
+                .with("name", name)
+                .with("cycles", active.fingerprint.cycles)
+                .with("active_cycles_per_sec", fixed(active.cps(), 0))
+                .with("threads", points),
+        );
+    }
 
     // On a multi-core host the batched-window engine must not lose to
     // its own single-thread configuration on the saturated mesh — that
     // was the whole point of killing the per-cycle barriers. Smoke runs
-    // are too short for a strict comparison, so they get a tolerance;
-    // EXP_PERF_NO_SPEEDUP_CHECK=1 disables the gate entirely for
-    // pathological hosts (heavily shared CI machines).
-    if host_cpus >= 2 && std::env::var_os("EXP_PERF_NO_SPEEDUP_CHECK").is_none() {
-        let sea = parallel_rows
-            .iter()
-            .find(|r| r.name == "sea_saturated_32x32")
-            .expect("saturated sweep row exists");
-        let rate = |t: usize| {
-            sea.per_threads
-                .iter()
-                .find(|p| p.threads == t)
-                .map(|p| p.cps)
-        };
+    // are too short for a strict comparison, so they get a tolerance.
+    if host_cpus >= 2 {
+        let rate = |t: usize| sea_rates.iter().find(|p| p.0 == t).map(|p| p.1);
         if let (Some(r1), Some(r2)) = (rate(1), rate(2)) {
             let floor = if scale == 1 { 0.8 * r1 } else { r1 };
             assert!(
@@ -521,204 +498,80 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let _ = writeln!(
-        out,
-        "\n  parallel kernel thread sweep (host has {host_cpus} CPU(s);\n\
-         sweep clamped to host parallelism, one oversubscribed point kept;\n\
-         speedups are wall-clock observations on this host):"
-    );
-    for r in &parallel_rows {
-        let _ = writeln!(
-            out,
-            "  {:<20} {:>12} cycles, active {:>12.0} c/s",
-            r.name, r.cycles, r.active_cps
-        );
-        for p in &r.per_threads {
-            let _ = writeln!(
-                out,
-                "    {} thread(s): {:>12.0} c/s ({:.2}x vs active){}",
-                p.threads,
-                p.cps,
-                p.cps / r.active_cps,
-                if p.oversubscribed {
-                    " [oversubscribed]"
-                } else {
-                    ""
-                },
-            );
-            if let Some(ph) = &p.phases {
-                let total = ph.total_nanos().max(1) as f64;
-                let _ = writeln!(
-                    out,
-                    "      phases: local {:.0}% decide {:.0}% apply-src {:.0}% \
-                     apply-dst {:.0}% barrier {:.0}%",
-                    100.0 * ph.local_nanos as f64 / total,
-                    100.0 * ph.decide_nanos as f64 / total,
-                    100.0 * ph.apply_src_nanos as f64 / total,
-                    100.0 * ph.apply_dst_nanos as f64 / total,
-                    100.0 * ph.barrier_nanos as f64 / total,
-                );
-            }
-        }
-        let _ = writeln!(out, "               ({})", r.detail);
-    }
-
     // System-level idle fast-forward: same workload, stepped vs jumped.
     let runs = 4 * scale;
-    let (mut ff_cycles, mut ff_secs) = (0u64, 0.0f64);
-    let (mut st_cycles, mut st_secs) = (0u64, 0.0f64);
+    let (mut cycles, mut ff_secs, mut st_secs) = (0u64, 0.0f64, 0.0f64);
     for _ in 0..runs {
         let (c, s) = multinoc_run(true);
-        ff_cycles += c;
-        ff_secs += s;
         let (c2, s2) = multinoc_run(false);
-        st_cycles += c2;
-        st_secs += s2;
         assert_eq!(
             c, c2,
             "fast-forward and single-stepping disagree on elapsed cycles"
         );
+        cycles += c;
+        ff_secs += s;
+        st_secs += s2;
     }
-    let ff_cps = ff_cycles as f64 / ff_secs;
-    let st_cps = st_cycles as f64 / st_secs;
-    let _ = writeln!(
-        out,
+    let (ff_cps, st_cps) = (cycles as f64 / ff_secs, cycles as f64 / st_secs);
+    writeln!(
+        r,
         "\n  multinoc idle fast-forward ({runs} host-driven runs over a\n\
          115200-baud link with 8% packet drops, {} cycles each):\n\
          stepped {st_cps:.0} c/s, fast-forwarded {ff_cps:.0} c/s \
          ({:.1}x)",
-        ff_cycles / runs,
+        cycles / runs,
         ff_cps / st_cps
-    );
+    )?;
 
     let (sent, retained, evicted, window) = bounded_stats(20_000 * scale);
-    let _ = writeln!(
-        out,
+    writeln!(
+        r,
         "\n  bounded statistics: {sent} packets sent, {retained} records\n\
          retained (window {window}), {evicted} evicted into streaming\n\
          aggregates — per-packet memory is O(window), not O(traffic)"
-    );
+    )?;
     let rss = peak_rss_kib();
     match rss {
-        Some(kib) => {
-            let _ = writeln!(out, "  peak RSS proxy (VmHWM): {kib} KiB");
-        }
-        None => {
-            let _ = writeln!(out, "  peak RSS proxy unavailable (no /proc/self/status)");
-        }
+        Some(kib) => writeln!(r, "  peak RSS proxy (VmHWM): {kib} KiB")?,
+        None => writeln!(r, "  peak RSS proxy unavailable (no /proc/self/status)")?,
     }
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"experiment\": \"E20 simulation-kernel performance\","
+    workloads.push(
+        Obj::new()
+            .with("name", "multinoc_idle")
+            .with("cycles", cycles)
+            .with("reference_cycles_per_sec", fixed(st_cps, 0))
+            .with("active_cycles_per_sec", fixed(ff_cps, 0))
+            .with("speedup", fixed(ff_cps / st_cps, 2))
+            .with("peak_rss_kib", rss),
     );
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"scale\": {scale},");
-    let _ = writeln!(json, "  \"workloads\": [");
-    for r in &rows {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"reference_cycles_per_sec\": {:.0}, \
-             \"active_cycles_per_sec\": {:.0}, \"speedup\": {:.2}, \
-             \"latency_p50\": {}, \"latency_p95\": {}, \"latency_p99\": {}, \
-             \"peak_rss_kib\": {}}},",
-            r.name,
-            r.cycles,
-            r.reference_cps,
-            r.active_cps,
-            r.speedup(),
-            opt_json(r.latency.0),
-            opt_json(r.latency.1),
-            opt_json(r.latency.2),
-            r.rss_kib.map_or("null".into(), |k| k.to_string()),
-        );
-    }
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"multinoc_idle\", \"cycles\": {ff_cycles}, \
-         \"reference_cycles_per_sec\": {st_cps:.0}, \
-         \"active_cycles_per_sec\": {ff_cps:.0}, \"speedup\": {:.2}, \
-         \"peak_rss_kib\": {}}}",
-        ff_cps / st_cps,
-        rss.map_or("null".into(), |k| k.to_string()),
-    );
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"bounded_stats\": {{\"packets_sent\": {sent}, \"records_retained\": {retained}, \
-         \"records_evicted\": {evicted}, \"stats_window\": {window}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"peak_rss_kib\": {}",
-        rss.map_or("null".into(), |k| k.to_string())
-    );
-    json.push_str("}\n");
-
-    std::fs::write("BENCH_perf.json", &json)?;
-
-    let mut pjson = String::from("{\n");
-    let _ = writeln!(
-        pjson,
-        "  \"experiment\": \"E20 parallel-kernel thread sweep\","
-    );
-    let _ = writeln!(pjson, "  \"seed\": {SEED},");
-    let _ = writeln!(pjson, "  \"scale\": {scale},");
-    let _ = writeln!(pjson, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(pjson, "  \"sweep_clamped_to_host\": true,");
-    let _ = writeln!(
-        pjson,
-        "  \"note\": \"all kernels asserted bit-identical before any rate; \
-         thread counts clamped to host parallelism (one oversubscribed point \
-         kept, flagged); speedups are wall-clock observations of this host, \
-         not assertions\","
-    );
-    let _ = writeln!(pjson, "  \"workloads\": [");
-    for (i, r) in parallel_rows.iter().enumerate() {
-        let _ = writeln!(
-            pjson,
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"active_cycles_per_sec\": {:.0},",
-            r.name, r.cycles, r.active_cps
-        );
-        let _ = writeln!(pjson, "     \"threads\": [");
-        for (j, p) in r.per_threads.iter().enumerate() {
-            let phases = p.phases.as_ref().map_or("null".to_string(), |ph| {
-                format!(
-                    "{{\"local_nanos\": {}, \"decide_nanos\": {}, \
-                     \"apply_src_nanos\": {}, \"apply_dst_nanos\": {}, \
-                     \"barrier_nanos\": {}, \"barrier_fraction\": {:.4}}}",
-                    ph.local_nanos,
-                    ph.decide_nanos,
-                    ph.apply_src_nanos,
-                    ph.apply_dst_nanos,
-                    ph.barrier_nanos,
-                    ph.barrier_fraction(),
-                )
-            });
-            let _ = writeln!(
-                pjson,
-                "       {{\"threads\": {}, \"oversubscribed\": {}, \
-                 \"cycles_per_sec\": {:.0}, \
-                 \"speedup_vs_active\": {:.3}, \"phases\": {phases}}}{}",
-                p.threads,
-                p.oversubscribed,
-                p.cps,
-                p.cps / r.active_cps,
-                if j + 1 < r.per_threads.len() { "," } else { "" },
-            );
-        }
-        let _ = writeln!(
-            pjson,
-            "     ]}}{}",
-            if i + 1 < parallel_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(pjson, "  ]");
-    pjson.push_str("}\n");
-    std::fs::write("BENCH_parallel.json", &pjson)?;
-
-    print!("{out}");
-    println!("\nMachine-readable summaries written to BENCH_perf.json and BENCH_parallel.json");
+    let bounded = Obj::new()
+        .with("packets_sent", sent)
+        .with("records_retained", retained)
+        .with("records_evicted", evicted)
+        .with("stats_window", window);
+    let perf_json = Obj::new()
+        .with("experiment", "E20 simulation-kernel performance")
+        .with("seed", SEED)
+        .with("scale", scale)
+        .with("workloads", workloads)
+        .with("bounded_stats", bounded)
+        .with("peak_rss_kib", rss);
+    r.artifact("BENCH_perf.json", perf_json.render());
+    let parallel_json = Obj::new()
+        .with("experiment", "E20 parallel-kernel thread sweep")
+        .with("seed", SEED)
+        .with("scale", scale)
+        .with("host_cpus", host_cpus)
+        .with("sweep_clamped_to_host", true)
+        .with(
+            "note",
+            "all kernels asserted bit-identical before any rate; \
+             thread counts clamped to host parallelism (one oversubscribed point \
+             kept, flagged); speedups are wall-clock observations of this host, \
+             not assertions",
+        )
+        .with("workloads", parallel_workloads);
+    r.artifact("BENCH_parallel.json", parallel_json.render());
     Ok(())
 }

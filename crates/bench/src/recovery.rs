@@ -7,30 +7,29 @@
 //! service counters, fault diagnosis, dead-link set, metrics export and
 //! Perfetto trace — is hashed. The same workload is then re-run to a
 //! mid-flight cut point, checkpointed to disk, and **hard-killed**: the
-//! process image is discarded and a fresh child process (this binary
+//! process image is discarded and a fresh child process (the `exp` binary
 //! re-executing itself) restores the file, resumes, and reports its own
 //! fingerprint hash. The invariant under test: the resumed world is
 //! byte-identical to the one that was never interrupted, under every
 //! NoC kernel and thread count, with checkpoints taken under one kernel
 //! restored under another.
 //!
-//! The whole sweep runs **twice** and must reproduce byte-identically
-//! before anything is printed. `BENCH_recovery.json` records checkpoint
-//! size, save/restore latency, and the overhead evidence: enabling the
-//! auto-checkpoint policy does not change the simulated outcome, and a
-//! run with checkpointing disabled pays nothing for the feature.
-//!
-//! Run with `cargo run -p multinoc-bench --bin exp_recovery` (set
-//! `EXP_RECOVERY_SMOKE=1` for the fast CI variant).
+//! The whole sweep runs **twice** and must reproduce byte-identically.
+//! `BENCH_recovery.json` records checkpoint size, save/restore latency,
+//! and the overhead evidence: enabling the auto-checkpoint policy does
+//! not change the simulated outcome, and a run with checkpointing
+//! disabled pays nothing for the feature.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
 use hermes_noc::{CycleWindow, FaultPlan, KernelMode, NocConfig, Port, RouterAddr, Routing};
 use multinoc::{NodeId, System};
 use r8::asm::assemble;
+
+use crate::{kernels, BoxError, Obj, Report, Scale};
 
 /// Seed for the injected fault stream.
 const SEED: u64 = 0xC4A0_5E23;
@@ -176,9 +175,14 @@ fn fingerprint(sys: &System) -> u64 {
     h
 }
 
-/// The post-crash process image: restore the checkpoint named by the
-/// environment, resume to completion, print the fingerprint, exit.
-fn run_child(path: &str) {
+/// The post-crash process image: if the environment names a checkpoint,
+/// restore it, resume to completion, print the fingerprint and return
+/// `true`. The `exp` binary calls this first thing, so the experiment
+/// can re-execute it as a fresh process.
+pub fn restore_child() -> bool {
+    let Some(path) = std::env::var_os(CHILD_ENV) else {
+        return false;
+    };
     let path = PathBuf::from(path);
     let mut sys = match std::env::var(CHILD_KERNEL_ENV) {
         Ok(label) => {
@@ -195,11 +199,12 @@ fn run_child(path: &str) {
         fingerprint(&sys),
         sys.cycle()
     );
+    true
 }
 
 /// Spawns a fresh process image that restores `path` and returns the
 /// fingerprint it reports.
-fn recover_in_fresh_process(path: &std::path::Path, kernel: Option<KernelMode>) -> u64 {
+fn recover_in_fresh_process(path: &Path, kernel: Option<KernelMode>) -> u64 {
     let exe = std::env::current_exe().expect("own path");
     let mut cmd = Command::new(exe);
     cmd.env(CHILD_ENV, path);
@@ -223,20 +228,6 @@ fn recover_in_fresh_process(path: &std::path::Path, kernel: Option<KernelMode>) 
     u64::from_str_radix(word.trim_start_matches("0x"), 16).expect("fingerprint parses")
 }
 
-fn kernels(smoke: bool) -> Vec<KernelMode> {
-    if smoke {
-        vec![KernelMode::Reference, KernelMode::Parallel { threads: 2 }]
-    } else {
-        vec![
-            KernelMode::Reference,
-            KernelMode::Active,
-            KernelMode::Parallel { threads: 1 },
-            KernelMode::Parallel { threads: 2 },
-            KernelMode::Parallel { threads: 8 },
-        ]
-    }
-}
-
 /// One kernel's deterministic results (timings live elsewhere: they can
 /// never be part of the reproducibility comparison).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -249,8 +240,7 @@ struct Point {
     cross_kernel: String,
 }
 
-fn run_sweep(smoke: bool, dir: &std::path::Path) -> Vec<Point> {
-    let kernel_set = kernels(smoke);
+fn run_sweep(kernel_set: &[KernelMode], dir: &Path) -> Vec<Point> {
     let mut points = Vec::new();
     for (i, &kernel) in kernel_set.iter().enumerate() {
         // The world that never crashes.
@@ -313,7 +303,7 @@ struct Timings {
     auto_checkpoints_written: u64,
 }
 
-fn measure(dir: &std::path::Path) -> Timings {
+fn measure(dir: &Path) -> Timings {
     let mut sys = build(KernelMode::Active);
     sys.run(200).expect("run");
     let path = dir.join("ckpt-timing.mnsp");
@@ -352,24 +342,17 @@ fn measure(dir: &std::path::Path) -> Timings {
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    if let Ok(path) = std::env::var(CHILD_ENV) {
-        run_child(&path);
-        return Ok(());
-    }
-    let smoke = std::env::var_os("EXP_RECOVERY_SMOKE").is_some();
+/// E23 — crash recovery: mid-flight checkpoint, hard kill and
+/// fresh-process restore under every kernel; writes
+/// `BENCH_recovery.json`.
+pub fn recovery(scale: Scale, r: &mut Report) -> Result<(), BoxError> {
     let dir = std::env::temp_dir().join(format!("multinoc-exp-recovery-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
-    let first = run_sweep(smoke, &dir);
-    let second = run_sweep(smoke, &dir);
-    assert_eq!(
-        first, second,
-        "same seed must reproduce the identical sweep"
-    );
+    let points = r.same_seed_twice(|| run_sweep(kernels(scale), &dir));
     let timings = measure(&dir);
     std::fs::remove_dir_all(&dir).ok();
 
-    let mut out = String::new();
+    let out = &mut r.text;
     let _ = writeln!(
         out,
         "E23 — crash recovery: mid-flight checkpoint, hard kill, fresh-process restore"
@@ -383,7 +366,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<12} {:>8} {:>8} {:>10} {:>20} {:<12}",
         "kernel", "cycles", "cut", "ckpt B", "fingerprint", "also via"
     );
-    for p in &first {
+    for p in &points {
         let _ = writeln!(
             out,
             "{:<12} {:>8} {:>8} {:>10} {:>#20x} {:<12}",
@@ -394,7 +377,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out,
         "All {} kernels: fresh-process and cross-kernel restores reproduced the \
          uninterrupted fingerprint bit-for-bit.",
-        first.len()
+        points.len()
     );
     let _ = writeln!(
         out,
@@ -406,38 +389,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         timings.auto_checkpoints_written
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E23 crash recovery\",");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"save_us\": {},", timings.save_us);
-    let _ = writeln!(json, "  \"restore_us\": {},", timings.restore_us);
-    let _ = writeln!(json, "  \"plain_run_us\": {},", timings.plain_run_us);
-    let _ = writeln!(
-        json,
-        "  \"auto_checkpoint_run_us\": {},",
-        timings.auto_checkpoint_run_us
-    );
-    let _ = writeln!(
-        json,
-        "  \"auto_checkpoints_written\": {},",
-        timings.auto_checkpoints_written
-    );
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, p) in first.iter().enumerate() {
-        let comma = if i + 1 == first.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"kernel\": \"{}\", \"cycles\": {}, \"cut\": {}, \
-             \"checkpoint_bytes\": {}, \"fingerprint\": \"{:#018x}\", \
-             \"cross_kernel\": \"{}\", \"recovered\": true}}{comma}",
-            p.kernel, p.elapsed, p.cut, p.checkpoint_bytes, p.fingerprint, p.cross_kernel
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_recovery.json", &json)?;
-    print!("{out}");
-    println!("Determinism check: two same-seed sweeps produced identical reports.");
-    println!("Machine-readable summary written to BENCH_recovery.json");
+    let points: Vec<Obj> = points
+        .iter()
+        .map(|p| {
+            Obj::new()
+                .with("kernel", p.kernel.clone())
+                .with("cycles", p.elapsed)
+                .with("cut", p.cut)
+                .with("checkpoint_bytes", p.checkpoint_bytes)
+                .with("fingerprint", format!("{:#018x}", p.fingerprint))
+                .with("cross_kernel", p.cross_kernel.clone())
+                .with("recovered", true)
+        })
+        .collect();
+    let json = Obj::new()
+        .with("experiment", "E23 crash recovery")
+        .with("seed", SEED)
+        .with("smoke", scale == Scale::Smoke)
+        .with("save_us", timings.save_us)
+        .with("restore_us", timings.restore_us)
+        .with("plain_run_us", timings.plain_run_us)
+        .with("auto_checkpoint_run_us", timings.auto_checkpoint_run_us)
+        .with("auto_checkpoints_written", timings.auto_checkpoints_written)
+        .with("points", points);
+    r.artifact("BENCH_recovery.json", json.render());
     Ok(())
 }

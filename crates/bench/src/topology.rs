@@ -19,31 +19,22 @@
 //!    8-thread batched parallel kernel must agree on every counter.
 //!
 //! Everything is seeded; the sweep runs twice and the report must be
-//! byte-identical before anything prints. The machine-readable summary
-//! lands in `BENCH_topology.json`. `EXP_TOPOLOGY_SMOKE=1` shrinks the
-//! cycle counts for CI.
-//!
-//! Run with `cargo run -p multinoc-bench --bin exp_topology`.
+//! byte-identical. The machine-readable summary lands in
+//! `BENCH_topology.json`.
 
 use std::fmt::Write as _;
 
 use hermes_noc::traffic::{Pattern, TrafficGen};
 use hermes_noc::{D2dChannel, KernelMode, Noc, NocConfig, Packet, RouterAddr};
 
+use crate::{agree, fixed, BoxError, Obj, Report, Scale};
+
 /// Seed shared by every configuration of the sweep.
 const SEED: u64 = 0xE240_7090;
 /// Flits of payload per generated packet.
 const PAYLOAD: usize = 4;
 
-/// Cycle scale: 1 for the CI smoke run, 4 for the full measurement.
-fn scale() -> u64 {
-    if std::env::var_os("EXP_TOPOLOGY_SMOKE").is_some() {
-        1
-    } else {
-        4
-    }
-}
-
+#[derive(Debug, PartialEq)]
 struct Point {
     name: String,
     routers: usize,
@@ -91,7 +82,7 @@ fn corner_latency(config: NocConfig) -> u64 {
     noc.stats().record(id).expect("recorded").latency()
 }
 
-fn run_sweep(scale: u64) -> (String, String) {
+fn run_sweep(scale: u64) -> (String, Obj) {
     let mut out = String::new();
     let mut points: Vec<Point> = Vec::new();
     let _ = writeln!(
@@ -180,9 +171,8 @@ fn run_sweep(scale: u64) -> (String, String) {
     // 8-thread batched parallel kernel on the same seeded traffic.
     let big_cycles = 300 * scale;
     let _ = writeln!(out, "1024-router chiplet system (4x4 chiplets of 8x8):");
-    let mut big_fingerprints = Vec::new();
-    let mut big_point = None;
-    for kernel in [KernelMode::Active, KernelMode::Parallel { threads: 8 }] {
+    let big_kernels = [KernelMode::Active, KernelMode::Parallel { threads: 8 }];
+    let big = agree(&big_kernels, |kernel| {
         let config = NocConfig::chiplet(4, 8, D2dChannel::OffChipParallel)
             .with_kernel_mode(kernel)
             .with_batch_window(16);
@@ -197,14 +187,8 @@ fn run_sweep(scale: u64) -> (String, String) {
             p.mean_latency,
             p.cycles
         );
-        big_fingerprints.push((p.sent, p.delivered, p.cycles, p.p95_latency));
-        big_point = Some(p);
-    }
-    assert_eq!(
-        big_fingerprints[0], big_fingerprints[1],
-        "kernels diverged on the 1024-router chiplet system"
-    );
-    let big = big_point.expect("big run happened");
+        p
+    });
     assert!(
         big.delivered > 0,
         "the big system must actually move traffic"
@@ -214,64 +198,60 @@ fn run_sweep(scale: u64) -> (String, String) {
         "  sequential and parallel kernels agree on every counter.\n"
     );
 
-    // Machine-readable summary.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E24 topology sweep\",");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"matched_router_counts\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"topology\": \"{}\", \"routers\": {}, \"cycles\": {}, \
-             \"sent\": {}, \"delivered\": {}, \"mean_latency\": {:.2}, \
-             \"p95_latency\": {}, \"peak_utilization\": {:.4}}}{comma}",
-            p.name,
-            p.routers,
-            p.cycles,
-            p.sent,
-            p.delivered,
-            p.mean_latency,
-            p.p95_latency,
-            p.peak_utilization
+    let json = Obj::new()
+        .with("experiment", "E24 topology sweep")
+        .with("seed", SEED)
+        .with(
+            "matched_router_counts",
+            points
+                .iter()
+                .map(|p| {
+                    Obj::new()
+                        .with("topology", p.name.clone())
+                        .with("routers", p.routers)
+                        .with("cycles", p.cycles)
+                        .with("sent", p.sent)
+                        .with("delivered", p.delivered)
+                        .with("mean_latency", fixed(p.mean_latency, 2))
+                        .with("p95_latency", p.p95_latency)
+                        .with("peak_utilization", fixed(p.peak_utilization, 4))
+                })
+                .collect::<Vec<_>>(),
+        )
+        .with(
+            "d2d_channels",
+            d2d_points
+                .iter()
+                .map(|(channel, corner, p)| {
+                    Obj::new()
+                        .with("channel", channel.clone())
+                        .with("corner_latency", *corner)
+                        .with("mean_latency", fixed(p.mean_latency, 2))
+                        .with("p95_latency", p.p95_latency)
+                })
+                .collect::<Vec<_>>(),
+        )
+        .with("mesh_corner_latency", mesh_corner)
+        .with(
+            "chiplet_1024",
+            Obj::new()
+                .with("topology", big.name)
+                .with("routers", big.routers)
+                .with("cycles", big.cycles)
+                .with("sent", big.sent)
+                .with("delivered", big.delivered)
+                .with("mean_latency", fixed(big.mean_latency, 2))
+                .with("kernels_agree", true),
         );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"d2d_channels\": [");
-    for (i, (channel, corner, p)) in d2d_points.iter().enumerate() {
-        let comma = if i + 1 == d2d_points.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"channel\": \"{channel}\", \"corner_latency\": {corner}, \
-             \"mean_latency\": {:.2}, \"p95_latency\": {}}}{comma}",
-            p.mean_latency, p.p95_latency
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"mesh_corner_latency\": {mesh_corner},");
-    let _ = writeln!(
-        json,
-        "  \"chiplet_1024\": {{\"topology\": \"{}\", \"routers\": {}, \
-         \"cycles\": {}, \"sent\": {}, \"delivered\": {}, \
-         \"mean_latency\": {:.2}, \"kernels_agree\": true}}",
-        big.name, big.routers, big.cycles, big.sent, big.delivered, big.mean_latency
-    );
-    json.push_str("}\n");
     (out, json)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale();
-    let first = run_sweep(scale);
-    let second = run_sweep(scale);
-    assert_eq!(
-        first, second,
-        "same seed must reproduce the identical sweep"
-    );
-    let (report, json) = first;
-    std::fs::write("BENCH_topology.json", &json)?;
-    print!("{report}");
-    println!("Determinism check: two same-seed sweeps produced identical reports.");
-    println!("Machine-readable summary written to BENCH_topology.json");
+/// E24 — topology sweep: mesh vs torus vs chiplet at matched router
+/// counts, off-chip channel separation and a 1024-router system; writes
+/// `BENCH_topology.json`.
+pub fn topology(scale: Scale, r: &mut Report) -> Result<(), BoxError> {
+    let (text, json) = r.same_seed_twice(|| run_sweep(scale.pick(1, 4)));
+    r.text.push_str(&text);
+    r.artifact("BENCH_topology.json", json.render());
     Ok(())
 }

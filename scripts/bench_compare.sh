@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Warn-only benchmark-regression triage: regenerated BENCH_*.json files
-# in the working tree are diffed against the baselines committed at HEAD
-# and the numeric deltas printed as a table. Never fails the build —
-# benchmark rates are wall-clock observations of the host, so a delta is
-# a prompt for a human, not a gate. Determinism is asserted inside the
+# (the repo root after `exp all`, or target/exp-smoke/ after
+# `exp --smoke all`) are diffed against the baselines of the same name
+# committed at HEAD and the numeric deltas printed as a table. Never
+# fails the build — benchmark rates are wall-clock observations of the
+# host, so a delta is a prompt for a human, not a gate. Determinism is asserted inside the
 # experiments themselves.
 # Usage: scripts/bench_compare.sh [BENCH_file.json ...]
 #        (defaults to every BENCH_*.json in the repo root)

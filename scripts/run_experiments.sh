@@ -1,44 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates every evaluation artifact of the paper (DESIGN.md, E1-E21).
-# Usage: scripts/run_experiments.sh [output-directory]
+# Regenerates every evaluation artifact of the paper (DESIGN.md
+# experiment index, E1-E25) with the one `exp` driver; the BENCH_*.json
+# and observability artifacts land in the repo root.
+# Usage: scripts/run_experiments.sh
 set -euo pipefail
-
-out="${1:-experiment-results}"
-mkdir -p "$out"
 cd "$(dirname "$0")/.."
 
-experiments=(
-    exp_latency
-    exp_throughput
-    exp_area
-    exp_scaling
-    exp_flow
-    exp_edge_detection
-    exp_cpi
-    exp_buffer_sweep
-    exp_arbitration
-    exp_serial
-    exp_load_sweep
-    exp_compiler
-    exp_services
-    exp_sea_of_processors
-    exp_reconfig
-    exp_utilization
-    exp_routing
-    exp_fault_sweep
-    exp_degradation
-    exp_perf
-    exp_observability
-    exp_chaos
-    exp_recovery
-)
-
-cargo build --release -p multinoc-bench --bins
-
-for exp in "${experiments[@]}"; do
-    echo "=== $exp ==="
-    cargo run --release -q -p multinoc-bench --bin "$exp" | tee "$out/$exp.txt"
-    echo
-done
-
-echo "all experiments written to $out/"
+exec cargo run --release -q -p multinoc-bench --bin exp -- all
