@@ -1,8 +1,9 @@
-//! Simulation-kernel microbenchmarks: the quiescence-aware active-set
-//! kernel (`KernelMode::Active`) against the reference full-scan kernel
-//! on an idle-heavy mesh (where the active set skips almost everything)
-//! and under saturation (the overhead guard — both kernels touch every
-//! router, so the active set must cost next to nothing).
+//! Simulation-kernel microbenchmarks: the default kernel (the shard
+//! engine on one shard, walking only routers with work) against the
+//! `Reference` full-scan oracle on an idle-heavy mesh (where the
+//! active-set walk skips almost everything) and under saturation (the
+//! overhead guard — both kernels touch every router, so the walk must
+//! cost next to nothing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hermes_noc::{KernelMode, Noc, NocConfig, Packet, RouterAddr};
@@ -11,7 +12,7 @@ use std::hint::black_box;
 
 const KERNELS: [(&str, KernelMode); 2] = [
     ("reference", KernelMode::Reference),
-    ("active", KernelMode::Active),
+    ("default", KernelMode::Parallel { threads: 1 }),
 ];
 
 /// 16×16 mesh, one packet at the start, then thousands of dead cycles:

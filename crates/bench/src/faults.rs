@@ -10,7 +10,7 @@ use multinoc::{host::Host, NodeId, System, SystemError, REMOTE_MEMORY};
 use prng::Xorshift64;
 use r8::asm::assemble;
 
-use crate::{agree, fixed, kernels, BoxError, Obj, Report, Scale};
+use crate::{agree, fixed, BoxError, Obj, Report, Scale, KERNELS};
 
 /// `OPS` host write+read-back round trips of `WORDS` words each to
 /// `memory`, stamping `tag` into every word: returns how many read back
@@ -549,7 +549,6 @@ fn run_chaos(mesh: &Mesh, trial: &Chaos, seed: u64, kernel: KernelMode) -> Outco
 
 fn chaos_sweep(scale: Scale) -> (String, Obj) {
     let trials_per_mesh = scale.pick(2, 6);
-    let kernel_set = kernels(scale);
     let mut out = String::new();
     let mut points = Vec::new();
     for mesh in &meshes() {
@@ -557,7 +556,7 @@ fn chaos_sweep(scale: Scale) -> (String, Obj) {
         for t in 0..trials_per_mesh {
             let trial = draw_chaos(&mut rng, mesh);
             let point_seed = CHAOS_SEED ^ (u64::from(mesh.n) << 16) ^ t;
-            let o = agree(kernel_set, |kernel| {
+            let o = agree(&KERNELS, |kernel| {
                 run_chaos(mesh, &trial, point_seed, kernel)
             });
             let failed_over = o.failovers.len() > 2;
@@ -595,7 +594,7 @@ fn chaos_sweep(scale: Scale) -> (String, Obj) {
          All {0} trials: pre-death writes survived, post-failover writes landed \
          exactly once, all kernels bit-identical.\n",
         points.len(),
-        kernel_set.len(),
+        KERNELS.len(),
         "mesh",
         "kill",
         "at cycle",
@@ -607,7 +606,7 @@ fn chaos_sweep(scale: Scale) -> (String, Obj) {
     let json = Obj::new()
         .with("experiment", "E22 chaos harness")
         .with("seed", CHAOS_SEED)
-        .with("kernels", kernel_set.len())
+        .with("kernels", KERNELS.len())
         .with("points", points);
     (text, json)
 }
@@ -625,7 +624,7 @@ fn chaos_sweep(scale: Scale) -> (String, Obj) {
 /// written before the death, the post-failover write lands on the
 /// surviving member, and the run halts instead of hanging or erroring.
 ///
-/// Every trial runs under every kernel of [`kernels`] with a
+/// Every trial runs under every kernel of [`KERNELS`] with a
 /// bit-identical fingerprint — cycle count, memory end-state, dead
 /// sets, failover log, retry and replication counters — so fault
 /// diagnosis and failover are proven kernel-invariant. Summary:

@@ -121,24 +121,15 @@ macro_rules! table_row {
     };
 }
 
-/// The NoC kernels every differential check runs under.
-pub fn kernels(scale: Scale) -> &'static [KernelMode] {
-    scale.pick(
-        &[
-            KernelMode::Reference,
-            KernelMode::Active,
-            KernelMode::Parallel { threads: 2 },
-            KernelMode::Parallel { threads: 8 },
-        ],
-        &[
-            KernelMode::Reference,
-            KernelMode::Active,
-            KernelMode::Parallel { threads: 1 },
-            KernelMode::Parallel { threads: 2 },
-            KernelMode::Parallel { threads: 8 },
-        ],
-    )
-}
+/// The NoC kernels every differential check runs under: the full-scan
+/// oracle and the shard engine at the default one shard, two shards and
+/// an oversubscribed eight.
+pub const KERNELS: [KernelMode; 4] = [
+    KernelMode::Reference,
+    KernelMode::Parallel { threads: 1 },
+    KernelMode::Parallel { threads: 2 },
+    KernelMode::Parallel { threads: 8 },
+];
 
 /// Runs `run` under every kernel in `kernels`, asserts every result
 /// equals the first, and returns that baseline.
@@ -555,9 +546,8 @@ mod tests {
 
     #[test]
     fn agree_returns_the_baseline_and_catches_divergence() {
-        assert_eq!(agree(kernels(Scale::Full), |_| 3), 3);
-        let diverged =
-            panic::catch_unwind(|| agree(kernels(Scale::Smoke), |k| k == KernelMode::Active));
+        assert_eq!(agree(&KERNELS, |_| 3), 3);
+        let diverged = panic::catch_unwind(|| agree(&KERNELS, |k| k == KernelMode::default()));
         assert!(diverged.is_err());
     }
 

@@ -50,7 +50,7 @@ use multinoc::{NodeId, System};
 use r8::asm::assemble;
 
 use crate::json::{parse, validate_time_series_json, validate_trace_event_json, Json};
-use crate::{agree, kernels, table_row, BoxError, Report, Scale};
+use crate::{agree, table_row, BoxError, Report, Scale, KERNELS};
 
 /// Seed shared by every workload.
 const SEED: u64 = 0xE21_0B5;
@@ -520,7 +520,6 @@ fn run_report(ts_json: &str, config: &NocConfig, system: &SystemRun, scale: u64)
 /// artifacts.
 pub fn observability(s: Scale, r: &mut Report) -> Result<(), BoxError> {
     let scale = s.pick(1, 8);
-    let kernel_set = kernels(s);
     writeln!(
         r,
         "E21: observability (seed {SEED:#x}, scale {scale}x)\n\
@@ -540,7 +539,7 @@ pub fn observability(s: Scale, r: &mut Report) -> Result<(), BoxError> {
     let mut metrics_by_name: std::collections::BTreeMap<&'static str, (Topology, String)> =
         std::collections::BTreeMap::new();
     for w in workloads(scale) {
-        let (perfetto, _, metrics_json) = agree(kernel_set, |kernel| run_traced(&w, kernel));
+        let (perfetto, _, metrics_json) = agree(&KERNELS, |kernel| run_traced(&w, kernel));
         let events = validate_trace_event_json(&perfetto)
             .unwrap_or_else(|e| panic!("{}: schema violation: {e}", w.name));
         parse(&metrics_json).expect("metrics JSON parses");
@@ -549,7 +548,7 @@ pub fn observability(s: Scale, r: &mut Report) -> Result<(), BoxError> {
             w.name,
             events,
             perfetto.len(),
-            kernel_set.len(),
+            KERNELS.len(),
             "identical"
         );
         metrics_by_name.insert(w.name, (w.config.topology, metrics_json));
@@ -651,7 +650,7 @@ pub fn observability(s: Scale, r: &mut Report) -> Result<(), BoxError> {
 
     // 4. Combined system export, again identical across kernels — now
     // including the causal service spans and their flow arrows.
-    let system = agree(kernel_set, system_run);
+    let system = agree(&KERNELS, system_run);
     let events = validate_trace_event_json(&system.perfetto)?;
     assert!(
         system.perfetto.contains("\"ph\":\"X\"") && system.perfetto.contains("\"ph\":\"i\""),
@@ -690,12 +689,11 @@ pub fn observability(s: Scale, r: &mut Report) -> Result<(), BoxError> {
 /// time series and the run report rebuilt from it.
 pub fn telemetry(s: Scale, r: &mut Report) -> Result<(), BoxError> {
     let scale = s.pick(1, 8);
-    let kernel_set = kernels(s);
     writeln!(r, "E25: interval telemetry across kernels x batch windows")?;
     table_row!(r, "workload", "frames", "raised", "cleared", "runs", "verdict");
     let mut hotspot_series: Option<(TelemetryRun, NocConfig)> = None;
     for w in telemetry_workloads(scale) {
-        let series = agree(kernel_set, |kernel| {
+        let series = agree(&KERNELS, |kernel| {
             let [first, rest @ ..] = BATCH_WINDOWS.map(|window| run_telemetry(&w, kernel, window));
             for (got, window) in rest.iter().zip(&BATCH_WINDOWS[1..]) {
                 assert_eq!(
@@ -720,7 +718,7 @@ pub fn telemetry(s: Scale, r: &mut Report) -> Result<(), BoxError> {
             series.frames,
             series.alerts_raised,
             series.alerts_cleared,
-            kernel_set.len() * BATCH_WINDOWS.len(),
+            KERNELS.len() * BATCH_WINDOWS.len(),
             "identical"
         );
         if w.name == "hotspot" {
@@ -734,7 +732,7 @@ pub fn telemetry(s: Scale, r: &mut Report) -> Result<(), BoxError> {
     let (hotspot, hotspot_config) = hotspot_series.expect("hotspot workload ran");
     // The spans section of the report: E21 proves the system run is
     // kernel-independent, so one run under the default kernel serves.
-    let system = system_run(KernelMode::Active);
+    let system = system_run(KernelMode::default());
     let report = run_report(&hotspot.json, &hotspot_config, &system, scale);
     writeln!(
         r,

@@ -1,9 +1,9 @@
 //! E20 (extension) — simulation-kernel performance: host cycles/second
-//! of the quiescence-aware active-set kernel (`KernelMode::Active`, the
-//! default) against the reference full-scan kernel on idle-heavy,
-//! saturated and degraded-mesh workloads, plus the system-level idle
-//! fast-forward, with a peak-RSS proxy and the bounded-statistics
-//! memory evidence.
+//! of the default kernel (the shard engine on one shard, walking only
+//! routers with work) against the `Reference` full-scan oracle on
+//! idle-heavy, saturated and degraded-mesh workloads, plus the
+//! system-level idle fast-forward, with a peak-RSS proxy and the
+//! bounded-statistics memory evidence.
 //!
 //! Every workload is seeded and runs under *both* kernels; the harness
 //! asserts the simulated observables (packets, hops, fault and health
@@ -15,7 +15,7 @@
 //! A second section sweeps `KernelMode::Parallel` over 1/2/4/8 worker
 //! threads on an idle-heavy 16×16 mesh and a saturated 32×32
 //! sea-of-processors mesh, again asserting bit-identical observables
-//! against the sequential kernel before recording any rate. Thread
+//! against the threads=1 baseline before recording any rate. Thread
 //! speedups are *observations* of this host (recorded with its CPU
 //! count in `BENCH_parallel.json`); the one gate is that threads=2 is
 //! not slower than threads=1 on the saturated mesh of a ≥2-CPU host.
@@ -71,7 +71,7 @@ struct Measured {
     /// histogram; `None` before the first delivery.
     latency: (Option<u64>, Option<u64>, Option<u64>),
     /// Kernel phase breakdown; `Some` only when the profiler was on
-    /// (parallel sweep points).
+    /// (thread-sweep points).
     phases: Option<PhaseProfile>,
 }
 
@@ -95,25 +95,27 @@ impl Measured {
     }
 }
 
-/// Turns the phase profiler on for parallel kernels, where the
-/// decide/commit/barrier breakdown explains the observed scaling.
-fn profile_if_parallel(noc: &mut Noc, kernel: KernelMode) {
-    if matches!(kernel, KernelMode::Parallel { .. }) {
+/// Builds the network of one workload run; the phase profiler is on for
+/// thread-sweep points, where the local/decide/apply/barrier breakdown
+/// explains the observed scaling.
+fn network(config: NocConfig, kernel: KernelMode, profile: bool) -> Noc {
+    let mut noc = Noc::new(config.with_kernel_mode(kernel)).expect("valid network");
+    if profile {
         noc.enable_phase_profiler();
     }
+    noc
 }
 
 /// Sparse bursts on a 16×16 mesh: a handful of packets every few
 /// thousand cycles, then silence — the regime where the reference
 /// kernel scans 256 idle routers per cycle for nothing.
-fn idle_heavy(kernel: KernelMode, cycles: u64) -> Measured {
-    let mut noc = Noc::new(NocConfig::mesh(16, 16).with_kernel_mode(kernel)).expect("valid mesh");
-    profile_if_parallel(&mut noc, kernel);
+fn idle_heavy(kernel: KernelMode, cycles: u64, profile: bool) -> Measured {
+    let mut noc = network(NocConfig::mesh(16, 16), kernel, profile);
     let start = Instant::now();
     // Bursts land at 4k-cycle boundaries, so the driving is naturally
     // chunked: each burst is submitted, then the network runs to the
-    // next boundary in one call (batched windows under the parallel
-    // kernel, plain per-cycle stepping under the others).
+    // next boundary in one call (batched windows, or per-cycle ones
+    // under the `Reference` oracle).
     let mut now = 0;
     while now < cycles {
         if now % 4_000 == 0 {
@@ -140,9 +142,8 @@ fn idle_heavy(kernel: KernelMode, cycles: u64) -> Measured {
 /// Uniform random traffic at a high injection rate on an 8×8 mesh: the
 /// regime where (almost) every router is busy and the active set buys
 /// nothing — the overhead guard.
-fn saturated(kernel: KernelMode, cycles: u64) -> Measured {
-    let mut noc = Noc::new(NocConfig::mesh(8, 8).with_kernel_mode(kernel)).expect("valid mesh");
-    profile_if_parallel(&mut noc, kernel);
+fn saturated(kernel: KernelMode, cycles: u64, profile: bool) -> Measured {
+    let mut noc = network(NocConfig::mesh(8, 8), kernel, profile);
     let mut gen = TrafficGen::new(Pattern::Uniform, 0.25, 4, SEED);
     let start = Instant::now();
     gen.drive(&mut noc, cycles, 1_000_000).expect("drive");
@@ -152,12 +153,9 @@ fn saturated(kernel: KernelMode, cycles: u64) -> Measured {
 /// Moderate traffic on an 8×8 fault-tolerant mesh with two permanent
 /// dead links: online diagnosis, wedged-worm flushes, epoch wavefronts
 /// and detoured routing all run under both kernels.
-fn degraded(kernel: KernelMode, cycles: u64) -> Measured {
-    let config = NocConfig::mesh(8, 8)
-        .with_kernel_mode(kernel)
-        .with_routing(Routing::FaultTolerantXy);
-    let mut noc = Noc::new(config).expect("valid mesh");
-    profile_if_parallel(&mut noc, kernel);
+fn degraded(kernel: KernelMode, cycles: u64, profile: bool) -> Measured {
+    let config = NocConfig::mesh(8, 8).with_routing(Routing::FaultTolerantXy);
+    let mut noc = network(config, kernel, profile);
     noc.set_fault_plan(
         FaultPlan::new(SEED)
             .with_link_down(
@@ -182,12 +180,8 @@ fn degraded(kernel: KernelMode, cycles: u64) -> Measured {
 /// flits so 32 rows and columns stay addressable): every row has work
 /// almost every cycle — the regime the row-sharded parallel kernel is
 /// built for.
-fn sea_saturated(kernel: KernelMode, cycles: u64) -> Measured {
-    let config = NocConfig::mesh(32, 32)
-        .with_flit_bits(10)
-        .with_kernel_mode(kernel);
-    let mut noc = Noc::new(config).expect("valid mesh");
-    profile_if_parallel(&mut noc, kernel);
+fn sea_saturated(kernel: KernelMode, cycles: u64, profile: bool) -> Measured {
+    let mut noc = network(NocConfig::mesh(32, 32).with_flit_bits(10), kernel, profile);
     let mut gen = TrafficGen::new(Pattern::Uniform, 0.2, 4, SEED ^ 0x5EA);
     let start = Instant::now();
     // Batched driving (16 cycles of traffic per boundary): the network
@@ -303,12 +297,13 @@ fn opt_cycles(v: Option<u64>) -> String {
     v.map_or_else(|| "-".into(), |c| c.to_string())
 }
 
-/// One E20 workload: name, description, cycles at scale 1, driver.
+/// One E20 workload: name, description, cycles at scale 1, driver
+/// (kernel, cycles, phase profiler on).
 type Workload = (
     &'static str,
     &'static str,
     u64,
-    fn(KernelMode, u64) -> Measured,
+    fn(KernelMode, u64, bool) -> Measured,
 );
 
 /// E20 — kernel and fast-forward performance, differential-checked;
@@ -327,7 +322,7 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
     writeln!(
         r,
         "  {:<12} {:>12} {:>15} {:>15} {:>9}",
-        "workload", "cycles", "reference c/s", "active c/s", "speedup"
+        "workload", "cycles", "reference c/s", "default c/s", "speedup"
     )?;
     let idle_detail = "16x16 mesh, 4-packet burst every 4k cycles";
     let sequential: [Workload; 3] = [
@@ -347,25 +342,25 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
     ];
     let mut workloads = Vec::new();
     for (name, detail, cycles, run) in sequential {
-        let reference = run(KernelMode::Reference, cycles * scale);
-        let active = run(KernelMode::Active, cycles * scale);
+        let reference = run(KernelMode::Reference, cycles * scale, false);
+        let default = run(KernelMode::default(), cycles * scale, false);
         assert_eq!(
-            reference.fingerprint, active.fingerprint,
+            reference.fingerprint, default.fingerprint,
             "{name}: kernels disagree on the simulated outcome"
         );
         assert_eq!(
-            reference.latency, active.latency,
+            reference.latency, default.latency,
             "{name}: kernels disagree on the latency percentiles"
         );
-        let (p50, p95, p99) = active.latency;
-        let speedup = active.cps() / reference.cps();
+        let (p50, p95, p99) = default.latency;
+        let speedup = default.cps() / reference.cps();
         writeln!(
             r,
             "  {:<12} {:>12} {:>15.0} {:>15.0} {:>8.1}x",
             name,
-            active.fingerprint.cycles,
+            default.fingerprint.cycles,
             reference.cps(),
-            active.cps(),
+            default.cps(),
             speedup
         )?;
         writeln!(
@@ -378,9 +373,9 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
         workloads.push(
             Obj::new()
                 .with("name", name)
-                .with("cycles", active.fingerprint.cycles)
+                .with("cycles", default.fingerprint.cycles)
                 .with("reference_cycles_per_sec", fixed(reference.cps(), 0))
-                .with("active_cycles_per_sec", fixed(active.cps(), 0))
+                .with("default_cycles_per_sec", fixed(default.cps(), 0))
                 .with("speedup", fixed(speedup, 2))
                 .with("latency_p50", p50)
                 .with("latency_p95", p95)
@@ -391,7 +386,8 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
 
     // Parallel-kernel thread sweep: observations, not assertions — the
     // only hard requirement is bit-identical simulated outcomes, checked
-    // against the sequential kernel before any rate is recorded.
+    // against the threads=1 point (the default kernel) before any rate
+    // is recorded.
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -414,19 +410,15 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
     let mut parallel_workloads = Vec::new();
     let mut sea_rates = Vec::new();
     for (name, detail, cycles, run) in parallel {
-        let active = run(KernelMode::Active, cycles * scale);
-        writeln!(
-            r,
-            "  {:<20} {:>12} cycles, active {:>12.0} c/s",
-            name,
-            active.fingerprint.cycles,
-            active.cps()
-        )?;
+        writeln!(r, "  {name}")?;
+        // The sweep starts at threads=1: its fingerprint and rate.
+        let mut baseline: Option<(Fingerprint, f64)> = None;
         let mut points = Vec::new();
         for (threads, oversubscribed) in sweep_threads(host_cpus) {
-            let p = run(KernelMode::Parallel { threads }, cycles * scale);
+            let p = run(KernelMode::Parallel { threads }, cycles * scale, true);
+            let (base_fingerprint, base_cps) = *baseline.get_or_insert((p.fingerprint, p.cps()));
             assert_eq!(
-                active.fingerprint, p.fingerprint,
+                base_fingerprint, p.fingerprint,
                 "{name}: parallel kernel at {threads} threads disagrees on the simulated outcome"
             );
             if name == "sea_saturated_32x32" {
@@ -434,9 +426,9 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
             }
             writeln!(
                 r,
-                "    {threads} thread(s): {:>12.0} c/s ({:.2}x vs active){}",
+                "    {threads} thread(s): {:>12.0} c/s ({:.2}x vs 1 thread){}",
                 p.cps(),
-                p.cps() / active.cps(),
+                p.cps() / base_cps,
                 if oversubscribed {
                     " [oversubscribed]"
                 } else {
@@ -468,16 +460,20 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
                     .with("threads", threads)
                     .with("oversubscribed", oversubscribed)
                     .with("cycles_per_sec", fixed(p.cps(), 0))
-                    .with("speedup_vs_active", fixed(p.cps() / active.cps(), 3))
                     .with("phases", phases),
             );
         }
-        writeln!(r, "               ({detail})")?;
+        let (base_fingerprint, base_cps) = baseline.expect("the sweep has at least one point");
+        writeln!(
+            r,
+            "               ({detail}; {} cycles)",
+            base_fingerprint.cycles
+        )?;
         parallel_workloads.push(
             Obj::new()
                 .with("name", name)
-                .with("cycles", active.fingerprint.cycles)
-                .with("active_cycles_per_sec", fixed(active.cps(), 0))
+                .with("cycles", base_fingerprint.cycles)
+                .with("default_cycles_per_sec", fixed(base_cps, 0))
                 .with("threads", points),
         );
     }
@@ -541,7 +537,7 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
             .with("name", "multinoc_idle")
             .with("cycles", cycles)
             .with("reference_cycles_per_sec", fixed(st_cps, 0))
-            .with("active_cycles_per_sec", fixed(ff_cps, 0))
+            .with("default_cycles_per_sec", fixed(ff_cps, 0))
             .with("speedup", fixed(ff_cps / st_cps, 2))
             .with("peak_rss_kib", rss),
     );

@@ -29,7 +29,7 @@ use hermes_noc::{CycleWindow, FaultPlan, KernelMode, NocConfig, Port, RouterAddr
 use multinoc::{NodeId, System};
 use r8::asm::assemble;
 
-use crate::{kernels, BoxError, Obj, Report, Scale};
+use crate::{BoxError, Obj, Report, Scale, KERNELS};
 
 /// Seed for the injected fault stream.
 const SEED: u64 = 0xC4A0_5E23;
@@ -48,7 +48,6 @@ const MEM: NodeId = NodeId(3);
 fn kernel_label(kernel: KernelMode) -> String {
     match kernel {
         KernelMode::Reference => "reference".into(),
-        KernelMode::Active => "active".into(),
         KernelMode::Parallel { threads } => format!("parallel{threads}"),
     }
 }
@@ -56,7 +55,6 @@ fn kernel_label(kernel: KernelMode) -> String {
 fn kernel_from_label(label: &str) -> KernelMode {
     match label {
         "reference" => KernelMode::Reference,
-        "active" => KernelMode::Active,
         other => {
             let threads = other
                 .strip_prefix("parallel")
@@ -304,7 +302,7 @@ struct Timings {
 }
 
 fn measure(dir: &Path) -> Timings {
-    let mut sys = build(KernelMode::Active);
+    let mut sys = build(KernelMode::default());
     sys.run(200).expect("run");
     let path = dir.join("ckpt-timing.mnsp");
     let t0 = Instant::now();
@@ -319,11 +317,11 @@ fn measure(dir: &Path) -> Timings {
     // baseline: the feature's only footprint there is one Option check
     // per cycle. A run with the auto-checkpoint policy enabled pays for
     // its periodic writes but must land on the identical outcome.
-    let mut plain = build(KernelMode::Active);
+    let mut plain = build(KernelMode::default());
     let t2 = Instant::now();
     plain.run_until_halted(BUDGET).expect("plain run halts");
     let plain_run_us = t2.elapsed().as_micros();
-    let mut auto = build(KernelMode::Active);
+    let mut auto = build(KernelMode::default());
     auto.enable_auto_checkpoint(dir.join("ckpt-auto.mnsp"), 100);
     let t3 = Instant::now();
     auto.run_until_halted(BUDGET).expect("auto run halts");
@@ -348,7 +346,7 @@ fn measure(dir: &Path) -> Timings {
 pub fn recovery(scale: Scale, r: &mut Report) -> Result<(), BoxError> {
     let dir = std::env::temp_dir().join(format!("multinoc-exp-recovery-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
-    let points = r.same_seed_twice(|| run_sweep(kernels(scale), &dir));
+    let points = r.same_seed_twice(|| run_sweep(&KERNELS, &dir));
     let timings = measure(&dir);
     std::fs::remove_dir_all(&dir).ok();
 

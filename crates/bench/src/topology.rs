@@ -171,7 +171,7 @@ fn run_sweep(scale: u64) -> (String, Obj) {
     // 8-thread batched parallel kernel on the same seeded traffic.
     let big_cycles = 300 * scale;
     let _ = writeln!(out, "1024-router chiplet system (4x4 chiplets of 8x8):");
-    let big_kernels = [KernelMode::Active, KernelMode::Parallel { threads: 8 }];
+    let big_kernels = [KernelMode::default(), KernelMode::Parallel { threads: 8 }];
     let big = agree(&big_kernels, |kernel| {
         let config = NocConfig::chiplet(4, 8, D2dChannel::OffChipParallel)
             .with_kernel_mode(kernel)

@@ -5,54 +5,56 @@ use crate::error::ConfigError;
 use crate::routing::Routing;
 use crate::topology::{D2dChannel, Topology};
 
-/// Which stepping kernel [`Noc::step`](crate::Noc::step) uses. All
-/// kernels are cycle-for-cycle identical in every observable outcome
-/// (delivery cycles, statistics, fault counters, random fault decisions);
-/// they differ only in how much work a cycle costs — skipping idle
-/// regions (`Active`) or spreading the scan across cores (`Parallel`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Which stepping kernel [`Noc::step`](crate::Noc::step) uses. Both run
+/// the same shard engine and are cycle-for-cycle identical in every
+/// observable outcome (delivery cycles, statistics, fault counters,
+/// random fault decisions); they differ only in how much work a cycle
+/// costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Quiescence-aware kernel (the default): routers and endpoints with
-    /// no buffered flits, no open connection and no pending control work
-    /// are skipped entirely; they are woken by a flit arrival, a local
-    /// injection, or a scheduled control-logic stall window.
-    #[default]
-    Active,
-    /// The original full-scan kernel: every router and endpoint is
-    /// visited in all four phases on every cycle. Kept as the reference
-    /// for differential testing of the active-set kernel.
+    /// The test oracle: one shard that visits every router and endpoint
+    /// in every sub-phase of every cycle, one cycle per window. Kept for
+    /// differential testing of the active-set walk and batched windows;
+    /// never the faster choice.
     Reference,
-    /// Multi-threaded full-scan kernel: the mesh is sharded row-wise
-    /// across a persistent pool of `threads` workers that execute the
-    /// same two-phase decide/commit cycle as the sequential kernels,
-    /// synchronised by barriers. Bit-identical to `Active` and
-    /// `Reference` in every observable; worthwhile only on meshes large
-    /// enough to amortise the barrier cost (16×16 and up).
+    /// The production kernel (the default is `threads: 1`): the mesh is
+    /// sharded row-wise over `threads` shards, each walking only its
+    /// routers with work (idle routers and endpoints are skipped until a
+    /// flit arrival, a local injection or a scheduled control-logic stall
+    /// wakes them), and multi-cycle runs are batched into windows of
+    /// [`NocConfig::batch_window`] cycles. Shard 0 runs on the stepping
+    /// thread; shards `1..threads` run on a persistent worker pool
+    /// synchronised by barriers, which pays off only on meshes large
+    /// enough to amortise the barrier cost (32×32 and up).
     Parallel {
-        /// Number of worker threads (the calling thread is one of them);
-        /// must be at least 1.
+        /// Number of shards (the calling thread runs one of them); must
+        /// be at least 1.
         threads: usize,
     },
 }
 
+impl Default for KernelMode {
+    fn default() -> Self {
+        KernelMode::Parallel { threads: 1 }
+    }
+}
+
 impl KernelMode {
-    /// A reasonable kernel for a `width`×`height` mesh on this host:
-    /// the sequential active-set kernel unless the mesh is saturated-scale
+    /// A reasonable kernel for a `width`×`height` mesh on this host: one
+    /// shard on the stepping thread unless the mesh is saturated-scale
     /// (1024 routers, a 32×32 mesh) *and* the host has at least two cores.
-    /// The crossover is set from BENCH_parallel.json: below it even the
-    /// batched-window parallel kernel cannot amortise its synchronisation
-    /// against `Active`'s idle-skipping, so picking `Parallel` there would
-    /// silently select the slower kernel.
+    /// The crossover is set from BENCH_parallel.json: below it extra
+    /// shards cannot amortise their barrier synchronisation, so picking
+    /// more threads there would silently select the slower kernel.
     pub fn auto(width: u8, height: u8) -> Self {
         let routers = usize::from(width) * usize::from(height);
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        if routers >= 1024 && cores >= 2 {
-            KernelMode::Parallel {
-                threads: cores.min(8).min(usize::from(height).max(1)),
-            }
+        let threads = if routers >= 1024 && cores >= 2 {
+            cores.min(8).min(usize::from(height).max(1))
         } else {
-            KernelMode::Active
-        }
+            1
+        };
+        KernelMode::Parallel { threads }
     }
 }
 
@@ -96,7 +98,7 @@ pub struct NocConfig {
     /// Only [`Routing::FaultTolerantXy`] reacts by reconfiguring.
     pub fault_threshold: u32,
     /// Stepping kernel (see [`KernelMode`]); both modes are observably
-    /// identical, `Reference` exists for differential testing.
+    /// identical, `Reference` exists as the differential-testing oracle.
     pub kernel: KernelMode,
     /// Number of recent per-packet records the statistics retain; must be
     /// at least 1. Older records are folded into the online aggregates
@@ -175,7 +177,7 @@ impl NocConfig {
             routing: Routing::Xy,
             arbitration: Arbitration::RoundRobin,
             fault_threshold: 8,
-            kernel: KernelMode::Active,
+            kernel: KernelMode::default(),
             stats_window: 4096,
             deadlock_timeout: 4096,
             batch_window: 0,
@@ -362,8 +364,9 @@ impl NocConfig {
             Arbitration::FixedPriority => 1,
         });
         w.put_u32(self.fault_threshold);
+        // Tag 0 belonged to the retired one-shard active-set kernel; it
+        // is still decoded (as `Parallel { threads: 1 }`) but never written.
         match self.kernel {
-            KernelMode::Active => w.put_u8(0),
             KernelMode::Reference => w.put_u8(1),
             KernelMode::Parallel { threads } => {
                 w.put_u8(2);
@@ -412,7 +415,7 @@ impl NocConfig {
         };
         let fault_threshold = r.take_u32()?;
         let kernel = match r.take_u8()? {
-            0 => KernelMode::Active,
+            0 => KernelMode::Parallel { threads: 1 },
             1 => KernelMode::Reference,
             2 => KernelMode::Parallel {
                 threads: r.take_usize()?,
@@ -568,9 +571,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_defaults_to_active_and_is_switchable() {
+    fn kernel_defaults_to_one_shard_parallel_and_is_switchable() {
         let c = NocConfig::default();
-        assert_eq!(c.kernel, KernelMode::Active);
+        assert_eq!(c.kernel, KernelMode::Parallel { threads: 1 });
+        assert_eq!(KernelMode::default(), KernelMode::Parallel { threads: 1 });
         assert!(c.stats_window >= 1);
         let c = c
             .with_kernel_mode(KernelMode::Reference)
@@ -582,14 +586,15 @@ mod tests {
 
     #[test]
     fn auto_kernel_is_sequential_on_small_meshes() {
-        assert_eq!(KernelMode::auto(2, 2), KernelMode::Active);
-        assert_eq!(KernelMode::auto(4, 4), KernelMode::Active);
+        let one = KernelMode::Parallel { threads: 1 };
+        assert_eq!(KernelMode::auto(2, 2), one);
+        assert_eq!(KernelMode::auto(4, 4), one);
         // Regression for the mis-gated crossover: BENCH_parallel showed
-        // Parallel strictly slower than Active up to 16×16, so auto must
-        // stay sequential there regardless of core count.
-        assert_eq!(KernelMode::auto(16, 16), KernelMode::Active);
-        // Saturated-scale meshes pick Parallel only on multi-core hosts;
-        // either way the choice must validate.
+        // extra shards strictly slower than one up to 16×16, so auto must
+        // stay on one shard there regardless of core count.
+        assert_eq!(KernelMode::auto(16, 16), one);
+        // Saturated-scale meshes shard only on multi-core hosts; either
+        // way the choice must validate.
         let big = KernelMode::auto(32, 32);
         assert!(
             NocConfig::mesh(32, 32)
@@ -599,12 +604,42 @@ mod tests {
                 .is_ok(),
             "auto kernel {big:?} must be valid"
         );
-        if let KernelMode::Parallel { threads } = big {
-            assert!(threads >= 2, "parallel with <2 threads is never a win");
-        }
         if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
-            assert_eq!(big, KernelMode::Active, "single-core hosts never shard");
+            assert_eq!(big, one, "single-core hosts never shard");
+        } else {
+            assert_ne!(big, one, "multi-core hosts shard a 32x32 mesh");
         }
+    }
+
+    #[test]
+    fn legacy_active_kernel_tag_decodes_as_one_shard_parallel() {
+        use crate::snapshot::{SnapshotReader, SnapshotWriter, KIND_NOC, SNAPSHOT_VERSION};
+        let config = NocConfig::mesh(3, 2);
+        // The paper defaults, hand-encoded around kernel tag 0 — the tag
+        // the retired one-shard active-set kernel was written under.
+        let mut w = SnapshotWriter::new();
+        config.topology.snapshot_write(&mut w);
+        w.put_u8(8); // flit bits
+        w.put_usize(2); // buffer depth
+        w.put_u32(7); // routing cycles
+        w.put_u32(2); // cycles per flit
+        w.put_u8(0); // Routing::Xy
+        w.put_u8(0); // Arbitration::RoundRobin
+        w.put_u32(8); // fault threshold
+        w.put_u8(0); // kernel tag
+        w.put_usize(4096); // stats window
+        w.put_u32(4096); // deadlock timeout
+        w.put_u32(0); // batch window
+        let legacy = w.finish(KIND_NOC);
+        let mut r = SnapshotReader::open(&legacy, KIND_NOC).unwrap();
+        assert_eq!(
+            NocConfig::snapshot_read(&mut r, SNAPSHOT_VERSION),
+            Ok(config.clone())
+        );
+        // The writer emits tag 2 plus the thread count for every `Parallel`.
+        let mut w = SnapshotWriter::new();
+        config.snapshot_write(&mut w);
+        assert_eq!(w.finish(KIND_NOC).len(), legacy.len() + 8);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The batched-window cycle engine shared by every [`KernelMode`].
+//! The batched-window shard engine: the only stepping path, shared by
+//! every [`KernelMode`].
 //!
 //! A cycle is three sub-phases, each reading only state the previous
 //! sub-phase left behind:
@@ -22,7 +23,7 @@
 //! start of `c + 1`, draining at the next cycle's start is observably
 //! identical to the sequential push at the end of `c`.
 //!
-//! **Windows.** The parallel kernel batches `W` cycles per dispatch: one
+//! **Windows.** The engine batches `W` cycles per dispatch: one
 //! gate release, `3W` barriers and one serial merge instead of per-cycle
 //! dispatch and merge. This is sound whenever every merge-time feedback
 //! path into the phases is quiet — link-health failures, epoch
@@ -37,23 +38,31 @@
 //! so the merged observables are independent of how routers were
 //! scheduled. Combined with the counter-based fault RNG (keyed by fault
 //! site and cycle, not draw order — see [`crate::fault`]), this makes
-//! the sequential kernels and the sharded parallel kernel bit-identical
-//! for every window size and thread count.
+//! every window size and thread count bit-identical.
 //!
-//! **Active-set sharding.** Each shard walks only the routers whose
-//! activity flag is set, exactly like [`KernelMode::Active`], and
-//! retires a node once its router and source queue are quiescent. Flags
-//! are only ever written by their owning shard (retire and same-shard
-//! wake in apply, foreign wake while draining its own mailbox), so the
-//! flag array needs no synchronisation beyond the existing barriers.
+//! **Active-set walk.** Each shard walks only the routers whose activity
+//! flag is set and retires a node once its router and source queue are
+//! quiescent. Flags are only ever written by their owning shard (retire
+//! and same-shard wake in apply, foreign wake while draining its own
+//! mailbox), so the flag array needs no synchronisation beyond the
+//! existing barriers. [`KernelMode::Reference`] sets `full_scan`, which
+//! walks every router of the shard instead — the differential-testing
+//! oracle for the walk — while still maintaining the flags.
+//!
+//! **One shard.** With a single shard there is no barrier and no
+//! mailbox: [`run_shard`] gets no [`SpinBarrier`], skips the drains (a
+//! single shard stages every transfer in `inbox_local`) and charges no
+//! profiler time to either.
 //!
 //! [`KernelMode`]: crate::KernelMode
-//! [`KernelMode::Active`]: crate::KernelMode::Active
+//! [`KernelMode::Reference`]: crate::KernelMode::Reference
 
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::ptr::addr_of;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -64,7 +73,7 @@ use crate::fault::FaultInjector;
 use crate::flit::Flit;
 use crate::metrics::PhaseProfile;
 use crate::noc::{decide_route, DropKind, Epoch, RouteDecision};
-use crate::router::Router;
+use crate::router::{Router, RouterCounters};
 use crate::routing::RouteTable;
 use crate::stats::LinkId;
 use crate::trace::{SpanEvent, SpanKind};
@@ -192,8 +201,8 @@ pub(crate) struct ShardDelta {
     /// Flits moving between this shard's own routers this cycle, staged
     /// so every pop of the apply sub-phase precedes every push.
     pub inbox_local: Vec<(usize, usize, Flit)>,
-    /// Scratch: the active-set walk of the current cycle (kept across
-    /// cycles to avoid re-allocating).
+    /// Scratch: the walk of the current cycle (kept across cycles to
+    /// avoid re-allocating).
     pub walk: Vec<usize>,
     /// Last cycle of the window in which this shard's walk was
     /// non-empty; 0 if it never was. Lets `run_until_idle` rewind the
@@ -245,7 +254,8 @@ impl ShardDelta {
 /// owns, takes `&` to foreign routers only in sub-phases where no shard
 /// mutates routers (decide), reads foreign outboxes only in the
 /// mailbox-drain slot (two barriers away from both the owner's writes
-/// and its clear), and writes activity flags only for nodes it owns.
+/// and its clear), and writes activity flags and mirrored counters only
+/// for nodes it owns.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CycleShared {
     pub routers: *mut Router,
@@ -254,6 +264,10 @@ pub(crate) struct CycleShared {
     /// Per-node activity flags; each shard reads and writes only the
     /// slice covering its own router range.
     pub active: *mut bool,
+    /// The statistics' mirror of the per-router hardware counters; each
+    /// shard copies the counters of the routers it walked, at the end of
+    /// every cycle (only walked routers ever change theirs).
+    pub counters: *mut RouterCounters,
     pub n_routers: usize,
     pub n_shards: usize,
     pub config: *const NocConfig,
@@ -261,8 +275,7 @@ pub(crate) struct CycleShared {
     /// (the torus — see [`Topology::requires_route_table`]
     /// (crate::Topology::requires_route_table)).
     pub base_table: *const RouteTable,
-    pub epochs: *const Epoch,
-    pub epochs_len: usize,
+    pub epochs: *const [Epoch],
     /// Null when no fault plan is installed.
     pub injector: *const FaultInjector,
     /// First cycle of the window.
@@ -283,9 +296,17 @@ pub(crate) struct CycleShared {
     /// Whether packet-lifecycle tracing is on; when false the trace hooks
     /// reduce to one predictable branch per site.
     pub trace_enabled: bool,
+    /// Walk every router of the shard each cycle instead of only the
+    /// flagged ones ([`KernelMode::Reference`](crate::KernelMode::Reference)).
+    pub full_scan: bool,
     /// Null unless the kernel phase profiler is enabled.
     pub profiler: *const PhaseProfiler,
 }
+
+/// Test hook: shard 1 panics in a window starting at this cycle, which
+/// only a test that jumps the clock there ever reaches.
+#[cfg(test)]
+pub(crate) const PANIC_IN_SHARD_1_AT: u64 = 1 << 62;
 
 // SAFETY: the raw pointers are only dereferenced during an active window
 // under the barrier discipline documented on the struct; between windows
@@ -308,11 +329,7 @@ impl CycleShared {
     }
 
     unsafe fn epochs(&self) -> &[Epoch] {
-        if self.epochs_len == 0 {
-            &[]
-        } else {
-            std::slice::from_raw_parts(self.epochs, self.epochs_len)
-        }
+        &*self.epochs
     }
 
     unsafe fn injector(&self) -> Option<&FaultInjector> {
@@ -354,12 +371,7 @@ impl CycleShared {
 /// The caller must guarantee exclusive access to the routers, endpoints
 /// and delta named by `nodes`/`delta` (disjoint shards, or a single
 /// thread).
-pub(crate) unsafe fn phase_local(
-    sh: &CycleShared,
-    now: u64,
-    nodes: impl Iterator<Item = usize>,
-    delta: &mut ShardDelta,
-) {
+unsafe fn phase_local(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut ShardDelta) {
     let config = sh.config();
     let base_table = sh.base_table();
     let epochs = sh.epochs();
@@ -369,7 +381,7 @@ pub(crate) unsafe fn phase_local(
     // cycles_per_flit` (the paper's latency formula charges R_i flit
     // periods per router). One cycle is consumed by the grant itself.
     let decision_delay = u64::from(config.routing_cycles) * cadence - 1;
-    for idx in nodes {
+    for &idx in nodes {
         let router = sh.router_mut(idx);
         let endpoint = sh.endpoint_mut(idx);
         let here = router.addr;
@@ -604,15 +616,10 @@ pub(crate) unsafe fn phase_local(
 ///
 /// All shards must be between the local and apply barriers of the same
 /// cycle (no router is mutated anywhere while decide runs).
-pub(crate) unsafe fn phase_decide(
-    sh: &CycleShared,
-    now: u64,
-    nodes: impl Iterator<Item = usize>,
-    delta: &mut ShardDelta,
-) {
+unsafe fn phase_decide(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut ShardDelta) {
     let config = sh.config();
     let injector = sh.injector();
-    for idx in nodes {
+    for &idx in nodes {
         let router = sh.router(idx);
         for (in_idx, input) in router.inputs.iter().enumerate() {
             let Some(out) = input.conn else { continue };
@@ -682,10 +689,10 @@ pub(crate) unsafe fn phase_decide(
 /// the caller must exclusively own the routers in `range`, and all
 /// shards must have passed the decide barrier (no one reads foreign
 /// buffers any more this cycle).
-pub(crate) unsafe fn phase_apply_src(
+unsafe fn phase_apply_src(
     sh: &CycleShared,
     now: u64,
-    range: Range<usize>,
+    range: &Range<usize>,
     delta: &mut ShardDelta,
 ) {
     let config = sh.config();
@@ -877,7 +884,7 @@ pub(crate) unsafe fn phase_apply_src(
 /// (outboxes are complete, and their owners will not clear them until
 /// two barriers from now); the caller must exclusively own the routers
 /// in `range` and be the only shard with index `shard`.
-pub(crate) unsafe fn drain_mailboxes(sh: &CycleShared, range: &Range<usize>, shard: usize) {
+unsafe fn drain_mailboxes(sh: &CycleShared, range: &Range<usize>, shard: usize) {
     for j in 0..sh.n_shards {
         if j == shard {
             // Own transfers were staged in `inbox_local`, never the
@@ -903,7 +910,7 @@ pub(crate) unsafe fn drain_mailboxes(sh: &CycleShared, range: &Range<usize>, sha
 /// the mailbox drains (the windowed engine's replacement for the old
 /// apply-dst sub-phase).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ProfiledPhase {
+enum ProfiledPhase {
     Local,
     Decide,
     ApplySrc,
@@ -919,24 +926,14 @@ pub(crate) enum ProfiledPhase {
 /// few `Instant::now` calls per shard per cycle).
 #[derive(Debug, Default)]
 pub(crate) struct PhaseProfiler {
-    local: AtomicU64,
-    decide: AtomicU64,
-    apply_src: AtomicU64,
-    apply_dst: AtomicU64,
-    barrier: AtomicU64,
+    /// Nanoseconds per [`ProfiledPhase`], indexed by its discriminant.
+    nanos: [AtomicU64; 5],
     cycles: AtomicU64,
 }
 
 impl PhaseProfiler {
     fn add(&self, phase: ProfiledPhase, nanos: u64) {
-        let bucket = match phase {
-            ProfiledPhase::Local => &self.local,
-            ProfiledPhase::Decide => &self.decide,
-            ProfiledPhase::ApplySrc => &self.apply_src,
-            ProfiledPhase::ApplyDst => &self.apply_dst,
-            ProfiledPhase::Barrier => &self.barrier,
-        };
-        bucket.fetch_add(nanos, Ordering::Relaxed);
+        self.nanos[phase as usize].fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Counts `n` profiled cycles (one step, or one whole window).
@@ -947,33 +944,35 @@ impl PhaseProfiler {
     /// A consistent-enough snapshot (the simulation is quiescent whenever
     /// this is called, so relaxed loads observe every preceding cycle).
     pub fn snapshot(&self) -> PhaseProfile {
+        let nanos = |phase: ProfiledPhase| self.nanos[phase as usize].load(Ordering::Relaxed);
         PhaseProfile {
             cycles: self.cycles.load(Ordering::Relaxed),
-            local_nanos: self.local.load(Ordering::Relaxed),
-            decide_nanos: self.decide.load(Ordering::Relaxed),
-            apply_src_nanos: self.apply_src.load(Ordering::Relaxed),
-            apply_dst_nanos: self.apply_dst.load(Ordering::Relaxed),
-            barrier_nanos: self.barrier.load(Ordering::Relaxed),
+            local_nanos: nanos(ProfiledPhase::Local),
+            decide_nanos: nanos(ProfiledPhase::Decide),
+            apply_src_nanos: nanos(ProfiledPhase::ApplySrc),
+            apply_dst_nanos: nanos(ProfiledPhase::ApplyDst),
+            barrier_nanos: nanos(ProfiledPhase::Barrier),
         }
     }
 }
 
 /// A stopwatch over the profiler: `mark` charges the time since the last
 /// mark to one bucket. Compiles to nothing when the profiler is off.
-pub(crate) struct Lap<'a> {
+#[derive(Debug)]
+struct Lap<'a> {
     profiler: Option<&'a PhaseProfiler>,
     last: Option<Instant>,
 }
 
 impl<'a> Lap<'a> {
-    pub fn start(profiler: Option<&'a PhaseProfiler>) -> Self {
+    fn start(profiler: Option<&'a PhaseProfiler>) -> Self {
         Self {
             profiler,
             last: profiler.map(|_| Instant::now()),
         }
     }
 
-    pub fn mark(&mut self, phase: ProfiledPhase) {
+    fn mark(&mut self, phase: ProfiledPhase) {
         if let (Some(profiler), Some(last)) = (self.profiler, self.last.as_mut()) {
             let now = Instant::now();
             profiler.add(phase, now.duration_since(*last).as_nanos() as u64);
@@ -982,29 +981,28 @@ impl<'a> Lap<'a> {
     }
 }
 
-impl std::fmt::Debug for Lap<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lap")
-            .field("enabled", &self.profiler.is_some())
-            .finish()
-    }
-}
-
-/// Runs `sh.window` cycles of the fused three-barrier engine for
-/// `shard`: each cycle drains the shard's mailbox (from the second cycle
-/// on), walks the shard's active nodes through local → decide → apply,
-/// and retires nodes that went quiescent; a final drain after the last
-/// cycle lands the window's trailing cross-shard flits so the merged
-/// state matches the sequential engine's end-of-cycle state exactly.
-/// Every participating shard (including the caller) must call this
-/// exactly once per window with the same `sh`.
+/// Runs `sh.window` cycles of the fused engine for `shard`: each cycle
+/// drains the shard's mailbox (from the second cycle on), walks the
+/// shard's active nodes (every node under `full_scan`) through local →
+/// decide → apply, mirrors the walked routers' counters and retires nodes
+/// that went quiescent; a final drain after the last cycle lands the
+/// window's trailing cross-shard flits so the merged state matches the
+/// sequential end-of-cycle state exactly. Every participating shard
+/// (including the caller) must call this exactly once per window with the
+/// same `sh`. A single shard passes no `barrier`: it has nobody to wait
+/// for and no mailbox to drain.
 ///
 /// # Safety
 ///
 /// `sh` must be a valid [`CycleShared`] for this window, `barrier` must
-/// have as many participants as `sh.n_shards`, and each shard index in
-/// `0..n_shards` must be claimed by exactly one concurrent caller.
-pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: &SpinBarrier) {
+/// be `None` for one shard and otherwise have as many participants as
+/// `sh.n_shards`, and each shard index in `0..n_shards` must be claimed by
+/// exactly one concurrent caller.
+pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: Option<&SpinBarrier>) {
+    #[cfg(test)]
+    if shard == 1 && sh.now == PANIC_IN_SHARD_1_AT {
+        panic!("injected panic in shard {shard}");
+    }
     let config = sh.config();
     let range = shard_range(
         usize::from(config.width()),
@@ -1013,11 +1011,18 @@ pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: &SpinBar
         shard,
     );
     debug_assert!(sh.window >= 1, "a window is at least one cycle");
+    debug_assert_eq!(barrier.is_none(), sh.n_shards == 1);
     let mut lap = Lap::start(sh.profiler());
+    let sync = |lap: &mut Lap| {
+        if let Some(barrier) = barrier {
+            barrier.wait();
+            lap.mark(ProfiledPhase::Barrier);
+        }
+    };
     let delta = &mut *sh.deltas.add(shard);
     for step in 0..u64::from(sh.window) {
         let now = sh.now + step;
-        if step > 0 {
+        if step > 0 && barrier.is_some() {
             // Cross-shard flits sent in the previous cycle land before
             // anything of this cycle reads the buffers.
             drain_mailboxes(sh, &range, shard);
@@ -1025,39 +1030,43 @@ pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: &SpinBar
         }
         let mut walk = std::mem::take(&mut delta.walk);
         walk.clear();
-        walk.extend(range.clone().filter(|&idx| *sh.active.add(idx)));
+        if sh.full_scan {
+            walk.extend(range.clone());
+        } else {
+            walk.extend(range.clone().filter(|&idx| *sh.active.add(idx)));
+        }
         if !walk.is_empty() {
             delta.last_busy = now;
         }
-        phase_local(sh, now, walk.iter().copied(), delta);
+        phase_local(sh, now, &walk, delta);
         lap.mark(ProfiledPhase::Local);
-        barrier.wait();
-        lap.mark(ProfiledPhase::Barrier);
-        phase_decide(sh, now, walk.iter().copied(), delta);
+        sync(&mut lap);
+        phase_decide(sh, now, &walk, delta);
         lap.mark(ProfiledPhase::Decide);
-        barrier.wait();
-        lap.mark(ProfiledPhase::Barrier);
-        phase_apply_src(sh, now, range.clone(), delta);
-        // Retire nodes that went quiescent this cycle, exactly like the
-        // sequential active-set kernel. A node retired here that a
-        // foreign shard just sent a flit to is re-woken by the next
-        // drain, before anyone observes the flags.
+        sync(&mut lap);
+        phase_apply_src(sh, now, &range, delta);
+        // Mirror the walked routers' counters and retire nodes that went
+        // quiescent this cycle. A node retired here that a foreign shard
+        // just sent a flit to is re-woken by the next drain, before
+        // anyone observes the flags.
         for &idx in &walk {
-            if sh.router(idx).is_idle() && sh.endpoint(idx).outgoing.is_empty() {
+            let router = sh.router(idx);
+            *sh.counters.add(idx) = router.counters;
+            if router.is_idle() && sh.endpoint(idx).outgoing.is_empty() {
                 *sh.active.add(idx) = false;
             }
         }
         lap.mark(ProfiledPhase::ApplySrc);
         delta.walk = walk;
-        barrier.wait();
-        lap.mark(ProfiledPhase::Barrier);
+        sync(&mut lap);
     }
-    // Land the last cycle's cross-shard flits before the merge reads or
-    // snapshots any router state.
-    drain_mailboxes(sh, &range, shard);
-    lap.mark(ProfiledPhase::ApplyDst);
-    barrier.wait();
-    lap.mark(ProfiledPhase::Barrier);
+    if barrier.is_some() {
+        // Land the last cycle's cross-shard flits before the merge reads
+        // or snapshots any router state.
+        drain_mailboxes(sh, &range, shard);
+        lap.mark(ProfiledPhase::ApplyDst);
+        sync(&mut lap);
+    }
 }
 
 /// How long a waiter busy-spins on the barrier before yielding the CPU.
@@ -1069,19 +1078,31 @@ const SPIN_BUDGET: u32 = 256;
 /// healthy rendezvous never pays a syscall.
 const YIELD_BUDGET: u32 = 64;
 
+/// The unwind payload of a shard that found its barrier poisoned: a peer
+/// panicked, and that peer's own panic is the one worth re-raising.
+/// Raised with `resume_unwind`, which skips the panic hook — the peer's
+/// panic already reported itself.
+#[derive(Debug)]
+struct PeerPanicked;
+
 /// A sense-counting barrier that spins briefly, yields briefly, and then
 /// blocks. `wait` releases everyone once `total` participants have
-/// arrived.
+/// arrived. A participant that panics [`poison`](Self::poison)s it with
+/// its panic, and every waiter unwinds instead of waiting for an arrival
+/// that will never come.
 #[derive(Debug)]
 pub(crate) struct SpinBarrier {
     arrived: AtomicUsize,
     generation: AtomicUsize,
     total: usize,
+    poisoned: AtomicBool,
     /// Waiters parked (or about to park) on the condvar; the releaser
     /// only takes the lock when this is non-zero, so the fast path stays
     /// lock-free.
     sleepers: AtomicUsize,
-    lock: Mutex<()>,
+    /// The condvar's lock, which also keeps the first genuine panic the
+    /// barrier was poisoned with.
+    lock: Mutex<Option<Box<dyn Any + Send>>>,
     cv: Condvar,
 }
 
@@ -1091,16 +1112,14 @@ impl SpinBarrier {
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             total: total.max(1),
+            poisoned: AtomicBool::new(false),
             sleepers: AtomicUsize::new(0),
-            lock: Mutex::new(()),
+            lock: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
     pub fn wait(&self) {
-        if self.total == 1 {
-            return;
-        }
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             self.arrived.store(0, Ordering::Release);
@@ -1117,6 +1136,9 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
+                if self.poisoned.load(Ordering::Acquire) {
+                    panic::resume_unwind(Box::new(PeerPanicked));
+                }
                 if spins < SPIN_BUDGET {
                     std::hint::spin_loop();
                 } else if spins < SPIN_BUDGET + YIELD_BUDGET {
@@ -1137,11 +1159,40 @@ impl SpinBarrier {
     fn sleep(&self, gen: usize) {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut guard = self.lock.lock().expect("barrier lock poisoned");
-        while self.generation.load(Ordering::SeqCst) == gen {
+        while self.generation.load(Ordering::SeqCst) == gen && !self.poisoned.load(Ordering::SeqCst)
+        {
             guard = self.cv.wait(guard).expect("barrier lock poisoned");
         }
         drop(guard);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        if self.generation.load(Ordering::SeqCst) == gen {
+            panic::resume_unwind(Box::new(PeerPanicked));
+        }
+    }
+
+    /// Marks the barrier dead after a participant panicked with
+    /// `payload`, keeping the first genuine panic for
+    /// [`take_panic`](Self::take_panic), and wakes every waiter, spinning
+    /// or parked, so it unwinds. The flag is set under the lock, so a
+    /// waiter either re-checks it there or is already parked and receives
+    /// the notification.
+    #[cold]
+    pub fn poison(&self, payload: Box<dyn Any + Send>) {
+        let mut first = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        if first.is_none() && !payload.is::<PeerPanicked>() {
+            *first = Some(payload);
+        }
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.cv.notify_all();
+    }
+
+    /// The panic that poisoned the barrier. Only genuine panics poison it
+    /// first (a [`PeerPanicked`] unwind needs an already poisoned
+    /// barrier), so after any `poison` there is one to take.
+    #[cold]
+    pub fn take_panic(&self) -> Box<dyn Any + Send> {
+        let mut first = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        first.take().expect("a poisoned barrier keeps its panic")
     }
 }
 
@@ -1189,15 +1240,22 @@ impl Gate {
     }
 }
 
-/// The persistent worker pool of [`KernelMode::Parallel`]: `shards - 1`
-/// plain `std::thread` workers (the stepping thread itself runs shard 0)
-/// released window by window through the gate and synchronised by the
-/// in-window barrier. Dropping the pool shuts the workers down and joins
-/// them.
+/// The persistent worker pool of [`KernelMode::Parallel`] with two or
+/// more shards: `shards - 1` plain `std::thread` workers (the stepping
+/// thread itself runs shard 0) released window by window through the
+/// gate and synchronised by the in-window barrier. Dropping the pool
+/// shuts the workers down and joins them.
+///
+/// A shard that panics poisons the barrier, so its peers unwind instead
+/// of waiting forever; the worker then exits, and [`run_window`]
+/// re-raises the original panic on the stepping thread.
 ///
 /// [`KernelMode::Parallel`]: crate::KernelMode::Parallel
+/// [`run_window`]: Self::run_window
+#[derive(Debug)]
 pub(crate) struct WorkerPool {
-    shards: usize,
+    /// Number of shards this pool synchronises (workers + the caller).
+    pub shards: usize,
     barrier: Arc<SpinBarrier>,
     gate: Arc<Gate>,
     workers: Vec<JoinHandle<()>>,
@@ -1221,11 +1279,20 @@ impl WorkerPool {
                             let (gen, cmd) = gate.await_change(last_seen);
                             last_seen = gen;
                             match cmd {
-                                // SAFETY: the stepping thread published a
-                                // view valid until the final barrier of
-                                // this window, participates as shard 0 and
-                                // assigned this worker a unique shard.
-                                Command::Run(sh) => unsafe { run_shard(&sh, shard, &barrier) },
+                                Command::Run(sh) => {
+                                    // SAFETY: the stepping thread published
+                                    // a view valid until the final barrier
+                                    // of this window, participates as shard
+                                    // 0 and assigned this worker a unique
+                                    // shard.
+                                    let run = AssertUnwindSafe(|| unsafe {
+                                        run_shard(&sh, shard, Some(&barrier))
+                                    });
+                                    if let Err(payload) = panic::catch_unwind(run) {
+                                        barrier.poison(payload);
+                                        return;
+                                    }
+                                }
                                 Command::Shutdown => return,
                                 Command::Idle => {}
                             }
@@ -1242,15 +1309,17 @@ impl WorkerPool {
         }
     }
 
-    /// Number of shards this pool synchronises (workers + the caller).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Runs one window of `sh.window` cycles: releases the workers on
     /// shards `1..n`, runs shard 0 on the calling thread, and returns
     /// once every shard has passed the final barrier (all mutation
     /// quiesced; `sh` may be dropped).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of any shard (after poisoning the
+    /// barrier, so no peer is left waiting). The pool is unusable
+    /// afterwards; dropping it joins the workers, each of which exits as
+    /// soon as it reaches the poisoned barrier.
     ///
     /// # Safety
     ///
@@ -1259,7 +1328,11 @@ impl WorkerPool {
     pub unsafe fn run_window(&self, sh: CycleShared) {
         debug_assert_eq!(sh.n_shards, self.shards);
         self.gate.release(Command::Run(sh));
-        run_shard(&sh, 0, &self.barrier);
+        let own = panic::catch_unwind(AssertUnwindSafe(|| run_shard(&sh, 0, Some(&self.barrier))));
+        if let Err(payload) = own {
+            self.barrier.poison(payload);
+            panic::resume_unwind(self.barrier.take_panic());
+        }
     }
 }
 
@@ -1271,15 +1344,6 @@ impl Drop for WorkerPool {
             // double-panic during drop.
             let _ = handle.join();
         }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("shards", &self.shards)
-            .field("workers", &self.workers.len())
-            .finish()
     }
 }
 
@@ -1347,6 +1411,26 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_barrier_unwinds_its_waiters_and_keeps_the_cause() {
+        let barrier = Arc::new(SpinBarrier::new(3));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || barrier.wait())
+            })
+            .collect();
+        // Usually long enough for both waiters to exhaust their budgets
+        // and park; a waiter still spinning must unwind just the same.
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        barrier.poison(Box::new("boom"));
+        for waiter in waiters {
+            let payload = waiter.join().expect_err("a poisoned wait unwinds");
+            barrier.poison(payload); // a peer's unwind never displaces the cause
+        }
+        assert_eq!(barrier.take_panic().downcast_ref(), Some(&"boom"));
+    }
+
+    #[test]
     fn single_participant_barrier_never_blocks() {
         let b = SpinBarrier::new(1);
         for _ in 0..10 {
@@ -1357,7 +1441,7 @@ mod tests {
     #[test]
     fn pool_shuts_down_cleanly_without_running_a_cycle() {
         let pool = WorkerPool::new(4);
-        assert_eq!(pool.shards(), 4);
+        assert_eq!(pool.shards, 4);
         drop(pool);
     }
 

@@ -7,7 +7,7 @@
 //! already-maintained counters, so the simulation itself pays nothing
 //! until a snapshot is requested. Families and samples are kept in
 //! `BTreeMap`s, which makes both expositions byte-deterministic — the
-//! trace-equivalence suite relies on `Reference`, `Active` and `Parallel`
+//! trace-equivalence suite relies on the `Reference` and `Parallel`
 //! kernels producing identical registry output.
 
 use std::collections::BTreeMap;
@@ -229,10 +229,11 @@ pub struct PhaseProfile {
     /// Nanoseconds in the source-side apply phase (pops, corruption,
     /// local delivery, outbox writes).
     pub apply_src_nanos: u64,
-    /// Nanoseconds in the destination-side apply phase (outbox drain).
+    /// Nanoseconds in the destination-side apply phase (outbox drain;
+    /// always zero at one shard, which has no mailbox).
     pub apply_dst_nanos: u64,
     /// Nanoseconds worker shards spent waiting at phase barriers
-    /// (always zero for the sequential kernels).
+    /// (always zero at one shard, which has no barrier).
     pub barrier_nanos: u64,
 }
 

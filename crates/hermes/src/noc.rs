@@ -1,6 +1,7 @@
 //! The network simulator: a mesh of routers stepped cycle by cycle.
 
 use std::collections::BTreeSet;
+use std::ops::RangeInclusive;
 
 use crate::addr::{Port, RouterAddr};
 use crate::config::{KernelMode, NocConfig};
@@ -9,7 +10,7 @@ use crate::error::{NocError, RouteError, SendError};
 use crate::fault::{FaultInjector, FaultPlan, PlanError};
 use crate::health::{HealthMonitor, LinkHealth};
 use crate::kernel::{
-    self, CycleShared, HealthEvent, PhaseProfiler, RecordEvent, ShardDelta, SpinBarrier, WorkerPool,
+    self, CycleShared, HealthEvent, PhaseProfiler, RecordEvent, ShardDelta, WorkerPool,
 };
 use crate::metrics::{PhaseProfile, Registry};
 use crate::packet::Packet;
@@ -107,6 +108,42 @@ pub(crate) fn decide_route(
     RouteDecision::Forward(minimal, false)
 }
 
+/// Visits every item of the cycle-tagged `streams` of every delta in
+/// merge order: cycle by cycle over `cycles`, and within a cycle stream
+/// by stream, each in shard (= ascending router) order. Every stream is
+/// cycle-ascending, so a one-cycle window or a single stream is already
+/// in that order; otherwise one cursor per stream and delta walks them
+/// in step.
+fn merge_by_cycle<T: Copy>(
+    deltas: &[ShardDelta],
+    streams: &[fn(&ShardDelta) -> &Vec<T>],
+    cycles: RangeInclusive<u64>,
+    cycle_of: impl Fn(&T) -> u64,
+    mut visit: impl FnMut(T),
+) {
+    if cycles.start() == cycles.end() || streams.len() * deltas.len() == 1 {
+        for stream in streams {
+            deltas.iter().flat_map(stream).for_each(|&item| visit(item));
+        }
+        return;
+    }
+    let mut pos = vec![0usize; streams.len() * deltas.len()];
+    for cycle in cycles {
+        let cursors = streams.iter().flat_map(|s| deltas.iter().map(s));
+        for (items, pos) in cursors.zip(pos.iter_mut()) {
+            while let Some(&item) = items.get(*pos).filter(|item| cycle_of(item) == cycle) {
+                visit(item);
+                *pos += 1;
+            }
+        }
+    }
+    debug_assert!(streams
+        .iter()
+        .flat_map(|s| deltas.iter().map(s))
+        .zip(&pos)
+        .all(|(items, &p)| p == items.len()));
+}
+
 /// A simulated Hermes network-on-chip.
 ///
 /// Construct one from a [`NocConfig`], submit packets with [`send`], step
@@ -140,20 +177,17 @@ pub struct Noc {
     /// `dead_routers` (an IP dies with its router) plus standalone
     /// endpoint deaths diagnosed through the Local ejection link.
     dead_endpoints: BTreeSet<RouterAddr>,
-    /// Per-node activity flag of the quiescence-aware kernel: `true`
-    /// means router `i` or its endpoint may have work this cycle. Nodes
-    /// are woken by injection, flit arrival or a scheduled control
-    /// stall, and retired once router and endpoint are both quiescent.
+    /// Per-node activity flag of the shard engine: `true` means router
+    /// `i` or its endpoint may have work this cycle. Nodes are woken by
+    /// injection, flit arrival or a scheduled control stall, and retired
+    /// once router and endpoint are both quiescent.
     active: Vec<bool>,
-    /// Scratch list of node indices visited this step (kept across steps
-    /// to avoid re-allocating every cycle).
-    step_list: Vec<usize>,
-    /// Per-shard merge buffers of the two-phase cycle engine: one for the
-    /// sequential kernels, one per shard for the parallel kernel.
-    /// Allocations persist across cycles.
+    /// Per-shard merge buffers of the shard engine. Allocations persist
+    /// across cycles.
     deltas: Vec<ShardDelta>,
-    /// Persistent worker threads of [`KernelMode::Parallel`], created
-    /// lazily on the first parallel step and joined on drop.
+    /// Persistent worker threads for shards `1..n` of a multi-shard
+    /// [`KernelMode::Parallel`], created lazily on the first multi-shard
+    /// window and joined on drop.
     pool: Option<WorkerPool>,
     /// Packet-lifecycle tracer; `None` (the default) makes every trace
     /// hook a single never-taken branch.
@@ -205,7 +239,6 @@ impl Noc {
             dead_routers: BTreeSet::new(),
             dead_endpoints: BTreeSet::new(),
             active,
-            step_list: Vec::new(),
             deltas: Vec::new(),
             pool: None,
             tracer: None,
@@ -753,16 +786,11 @@ impl Noc {
         // With no node flagged active there can be no queued, buffered or
         // in-reassembly traffic anywhere (every flit lives in some active
         // node, and a truncated reassembly is aborted when its worm is
-        // flushed), so the scan can be skipped. The flags are a
-        // conservative superset of the busy set for both active-set
-        // kernels, so "all clear" proves idleness; a stale superset (e.g.
-        // after restoring a snapshot taken under the reference kernel)
-        // merely falls through to the full scan.
-        if matches!(
-            self.config.kernel,
-            KernelMode::Active | KernelMode::Parallel { .. }
-        ) && !self.active.iter().any(|&a| a)
-        {
+        // flushed), so the scan can be skipped. Every kernel keeps the
+        // flags a conservative superset of the busy set, so "all clear"
+        // proves idleness; a stale superset merely falls through to the
+        // full scan.
+        if !self.active.iter().any(|&a| a) {
             return true;
         }
         self.endpoints.iter().all(LocalEndpoint::is_idle)
@@ -771,82 +799,45 @@ impl Noc {
 
     /// Wakes routers inside a scheduled control-stall window: a stalled
     /// router accrues [`FaultCounters::router_stall_cycles`] every cycle
-    /// of the window even with nothing buffered, so the active-set kernel
-    /// must visit it to count identically to the reference kernel.
+    /// of the window even with nothing buffered, so the active-set walk
+    /// must visit it to count identically to the full scan.
     ///
     /// [`FaultCounters::router_stall_cycles`]: crate::stats::FaultCounters::router_stall_cycles
     fn wake_scheduled_stalls(&mut self, now: u64) {
-        let mut s = 0;
-        while let Some(stall) = self
-            .injector
-            .as_ref()
-            .and_then(|inj| inj.plan().stalls.get(s))
-            .copied()
-        {
-            s += 1;
-            if stall.window.contains(now) {
-                if let Some(idx) = self.index(stall.router) {
-                    self.active[idx] = true;
-                }
+        let Some(injector) = self.injector.as_ref() else {
+            return;
+        };
+        let topology = &self.config.topology;
+        for stall in &injector.plan().stalls {
+            if stall.window.contains(now) && topology.contains(stall.router) {
+                self.active[topology.index(stall.router)] = true;
             }
         }
     }
 
     /// Advances the simulation by one clock cycle.
     ///
-    /// All three kernels drive the same two-phase engine (see
-    /// [`kernel`](crate::KernelMode)) and produce bit-identical
-    /// observables: random fault decisions are keyed by fault site and
-    /// cycle — never by visit order — and every cross-router side effect
-    /// is merged serially in ascending router order.
+    /// Every kernel drives the same shard engine (see
+    /// [`KernelMode`]) and produces bit-identical observables: random
+    /// fault decisions are keyed by fault site and cycle — never by visit
+    /// order — and every cross-router side effect is merged serially in
+    /// ascending router order.
     pub fn step(&mut self) {
-        self.cycle += 1;
-        let now = self.cycle;
-        match self.config.kernel {
-            KernelMode::Reference => {
-                let mut nodes = std::mem::take(&mut self.step_list);
-                nodes.clear();
-                nodes.extend(0..self.routers.len());
-                self.step_nodes(now, &nodes);
-                self.step_list = nodes;
-            }
-            KernelMode::Active => {
-                self.wake_scheduled_stalls(now);
-                // Any walk order of the active subset would do — the
-                // counter-keyed fault RNG makes decisions independent of
-                // draw order — but ascending keeps cache behaviour and
-                // debugging predictable.
-                let mut nodes = std::mem::take(&mut self.step_list);
-                nodes.clear();
-                nodes.extend((0..self.active.len()).filter(|&i| self.active[i]));
-                self.step_nodes(now, &nodes);
-                for &idx in &nodes {
-                    if self.routers[idx].is_idle() && self.endpoints[idx].outgoing.is_empty() {
-                        self.active[idx] = false;
-                    }
-                }
-                self.step_list = nodes;
-            }
-            KernelMode::Parallel { threads } => {
-                self.step_parallel_window(now, threads, 1);
-            }
-        }
-        if let Some(profiler) = self.profiler.as_deref() {
-            profiler.bump_cycles(1);
-        }
-        self.stats.cycles = self.cycle;
-        self.telemetry_tick();
+        self.run_window(1, false);
     }
 
-    /// The number of cycles the parallel kernel may batch per barrier
-    /// round. Any path that feeds merge output back into the phases —
-    /// fault injection (health failures, scheduled stalls) or a non-empty
-    /// epoch list (route reconfiguration, armed deadlock recovery) —
-    /// collapses the window to one cycle so the feedback stays
-    /// cycle-exact; otherwise the configured `batch_window` applies
-    /// (0 = the engine default of 16).
+    /// The number of cycles the engine may batch per window. Any path
+    /// that feeds merge output back into the phases — fault injection
+    /// (health failures, scheduled stalls) or a non-empty epoch list
+    /// (route reconfiguration, armed deadlock recovery) — collapses the
+    /// window to one cycle so the feedback stays cycle-exact, and so does
+    /// the `Reference` oracle; otherwise the configured `batch_window`
+    /// applies (0 = the engine default of 16).
     fn window_size(&self) -> u32 {
-        if self.injector.is_some() || !self.epochs.is_empty() {
+        if self.config.kernel == KernelMode::Reference
+            || self.injector.is_some()
+            || !self.epochs.is_empty()
+        {
             1
         } else if self.config.batch_window == 0 {
             16
@@ -855,63 +846,73 @@ impl Noc {
         }
     }
 
-    /// Runs one cycle of the fused engine over `nodes` on the calling
-    /// thread — the sequential kernels are the one-shard, one-cycle
-    /// special case of the same engine the parallel kernel runs.
-    fn step_nodes(&mut self, now: u64, nodes: &[usize]) {
-        self.ensure_shards(1);
-        let n_routers = self.routers.len();
-        let shared = self.cycle_shared(now, 1, 1);
-        let mut lap = kernel::Lap::start(self.profiler.as_deref());
-        // SAFETY: one thread, one shard — this call owns every router,
-        // endpoint and delta for the whole cycle, and the sub-phases run
-        // in engine order. With a single shard covering every router no
-        // transfer is cross-shard, so no mailbox drain is needed.
-        unsafe {
-            let delta = &mut *shared.deltas;
-            kernel::phase_local(&shared, now, nodes.iter().copied(), delta);
-            lap.mark(kernel::ProfiledPhase::Local);
-            kernel::phase_decide(&shared, now, nodes.iter().copied(), delta);
-            lap.mark(kernel::ProfiledPhase::Decide);
-            kernel::phase_apply_src(&shared, now, 0..n_routers, delta);
-            lap.mark(kernel::ProfiledPhase::ApplySrc);
+    /// Runs one window of at most `window` cycles starting at the next
+    /// cycle (clamped so it never straddles a telemetry sample boundary),
+    /// merges it and advances the clock. With `rewind_idle_tail`, trailing
+    /// cycles in which no shard walked a node — they mutate nothing — are
+    /// given back: the clock stops at the last busy cycle, exactly where a
+    /// cycle-by-cycle drain would have stopped. Returns the cycles spent.
+    fn run_window(&mut self, window: u32, rewind_idle_tail: bool) -> u64 {
+        let base = self.cycle + 1;
+        let window = self.clamp_window_to_telemetry(base, window);
+        self.cycle += u64::from(window);
+        let last_busy = self.step_window(base, window);
+        if rewind_idle_tail {
+            // Only called on a busy network, so some walk was non-empty
+            // and `last_busy >= base`; it equals the window end whenever
+            // traffic is still in flight.
+            debug_assert!(last_busy >= base);
+            self.cycle = last_busy;
         }
-        self.merge_window(now, now, Some(nodes));
+        let spent = self.cycle - base + 1;
+        if let Some(profiler) = self.profiler.as_deref() {
+            profiler.bump_cycles(spent);
+        }
+        self.stats.cycles = self.cycle;
+        // The clock now sits at a fully merged cycle boundary; the tick
+        // fires only if that is a sample boundary, keeping the streams
+        // aligned across kernels and window sizes.
+        self.telemetry_tick();
+        spent
     }
 
-    /// Runs the `window` cycles starting at `base`, sharded row-wise over
-    /// `threads` shards. The stepping thread runs shard 0; shards `1..n`
-    /// run on the persistent worker pool, created lazily on the first
-    /// parallel step. Returns the last cycle in which any shard walked a
-    /// node (0 if none did), for the idle-tail rewind of
-    /// [`run_until_idle`](Self::run_until_idle).
-    fn step_parallel_window(&mut self, base: u64, threads: usize, window: u32) -> u64 {
+    /// Runs the `window` cycles starting at `base` over the kernel's
+    /// shards and merges them. The stepping thread runs shard 0; shards
+    /// `1..n` run on the persistent worker pool, created lazily on the
+    /// first multi-shard window. Returns the last cycle in which any
+    /// shard walked a node (0 if none did).
+    fn step_window(&mut self, base: u64, window: u32) -> u64 {
         // A scheduled control stall must wake its router even with
         // nothing buffered, or the active-set walk skips the stall
         // bookkeeping. Stalls require an installed plan, which also
         // forces a one-cycle window.
-        if self.injector.is_some() {
-            debug_assert_eq!(window, 1, "an installed fault plan forces 1-cycle windows");
-            self.wake_scheduled_stalls(base);
-        }
-        // More shards than rows would only add idle workers: every shard
-        // owns whole grid rows.
+        debug_assert!(
+            self.injector.is_none() || window == 1,
+            "a fault plan forces 1-cycle windows"
+        );
+        self.wake_scheduled_stalls(base);
+        // `Reference` is the one-shard full scan. More shards than rows
+        // would only add idle workers: every shard owns whole grid rows.
+        let threads = match self.config.kernel {
+            KernelMode::Reference => 1,
+            KernelMode::Parallel { threads } => threads,
+        };
         let shards = threads.clamp(1, usize::from(self.config.height()).max(1));
-        self.ensure_shards(shards);
+        if self.deltas.len() < shards {
+            self.deltas.resize_with(shards, ShardDelta::default);
+        }
+        let shared = self.cycle_shared(base, shards, window);
         if shards == 1 {
-            let shared = self.cycle_shared(base, 1, window);
-            let barrier = SpinBarrier::new(1);
-            // SAFETY: a single shard on a single thread; same contract as
-            // the sequential kernels.
-            unsafe { kernel::run_shard(&shared, 0, &barrier) };
+            // SAFETY: one shard on the calling thread owns every router,
+            // endpoint and delta for the whole window.
+            unsafe { kernel::run_shard(&shared, 0, None) };
         } else {
-            if self.pool.as_ref().map(|p| p.shards()) != Some(shards) {
+            if self.pool.as_ref().map(|p| p.shards) != Some(shards) {
                 self.pool = Some(WorkerPool::new(shards));
             }
             // Move the pool out so no borrow of `self` is alive while the
             // workers mutate the mesh through the published raw view.
             let pool = self.pool.take().expect("pool created above");
-            let shared = self.cycle_shared(base, shards, window);
             // SAFETY: `shared` stays valid until `run_window` returns (it
             // blocks past the window's final barrier), the pool
             // synchronises exactly `shards` participants, and each claims
@@ -919,14 +920,7 @@ impl Noc {
             unsafe { pool.run_window(shared) };
             self.pool = Some(pool);
         }
-        self.merge_window(base, base + u64::from(window) - 1, None)
-    }
-
-    /// Grows the per-shard delta pool to at least `n` entries.
-    fn ensure_shards(&mut self, n: usize) {
-        if self.deltas.len() < n {
-            self.deltas.resize_with(n, ShardDelta::default);
-        }
+        self.merge_window(base, base + u64::from(window) - 1)
     }
 
     /// Publishes the raw per-window view the engine phases work through.
@@ -936,6 +930,7 @@ impl Noc {
             endpoints: self.endpoints.as_mut_ptr(),
             deltas: self.deltas.as_mut_ptr(),
             active: self.active.as_mut_ptr(),
+            counters: self.stats.routers.as_mut_ptr(),
             n_routers: self.routers.len(),
             n_shards,
             config: &self.config,
@@ -943,8 +938,7 @@ impl Noc {
                 .base_table
                 .as_deref()
                 .map_or(std::ptr::null(), |t| t as *const RouteTable),
-            epochs: self.epochs.as_ptr(),
-            epochs_len: self.epochs.len(),
+            epochs: self.epochs.as_slice(),
             injector: self
                 .injector
                 .as_ref()
@@ -956,6 +950,7 @@ impl Noc {
                 && !self.epochs.is_empty(),
             pristine: self.health.is_pristine(),
             trace_enabled: self.tracer.is_some(),
+            full_scan: self.config.kernel == KernelMode::Reference,
             profiler: self
                 .profiler
                 .as_deref()
@@ -972,27 +967,11 @@ impl Noc {
     /// cycle order, reproducing the per-cycle sequential merge exactly.
     /// Merge-time feedback into the phases (health failures, epochs,
     /// deadlock recovery) can only occur when the window is one cycle, so
-    /// applying it at `end` is always cycle-exact. `nodes` limits the
-    /// router-counter mirror copy to the routers actually stepped
-    /// (`None` copies all). Returns the last cycle in which any shard
-    /// walked a node (0 if none did).
-    fn merge_window(&mut self, start: u64, end: u64, nodes: Option<&[usize]>) -> u64 {
+    /// applying it at `end` is always cycle-exact. (The per-router
+    /// counter mirror is kept by the shards themselves.) Returns the last
+    /// cycle in which any shard walked a node (0 if none did).
+    fn merge_window(&mut self, start: u64, end: u64) -> u64 {
         let now = end;
-        // The statistics keep an exact mirror of the per-router hardware
-        // counters; the phases update only the routers' own counters.
-        match nodes {
-            Some(nodes) => {
-                for &idx in nodes {
-                    self.stats.routers[idx] = self.routers[idx].counters;
-                }
-            }
-            None => {
-                for (idx, router) in self.routers.iter().enumerate() {
-                    self.stats.routers[idx] = router.counters;
-                }
-            }
-        }
-
         let mut deltas = std::mem::take(&mut self.deltas);
 
         // Links crossing the fault threshold this cycle: `(router, out,
@@ -1020,43 +999,19 @@ impl Noc {
             }
         }
 
-        // Replay the window's trace stream cycle by cycle: within each
-        // cycle every local-phase span first (shard order is ascending
-        // router order), then every apply-phase span — exactly the order
-        // the one-shard sequential engine appends them in, so all kernels
-        // emit bit-identical traces for every window size. Each delta's
-        // spans are already cycle-ascending, so one cursor per delta and
-        // stream suffices.
+        // Replay the window's trace stream: within each cycle every
+        // local-phase span first (shard order is ascending router order),
+        // then every apply-phase span — exactly the order a one-shard,
+        // one-cycle window appends them in, so all kernels emit
+        // bit-identical traces for every window size.
         if let Some(tracer) = self.tracer.as_mut() {
-            let mut local_pos = vec![0usize; deltas.len()];
-            let mut apply_pos = vec![0usize; deltas.len()];
-            for cycle in start..=end {
-                for (d, delta) in deltas.iter().enumerate() {
-                    let spans = &delta.trace_local;
-                    while let Some(&(id, event)) = spans.get(local_pos[d]) {
-                        if event.cycle != cycle {
-                            break;
-                        }
-                        tracer.record(id, event);
-                        local_pos[d] += 1;
-                    }
-                }
-                for (d, delta) in deltas.iter().enumerate() {
-                    let spans = &delta.trace_apply;
-                    while let Some(&(id, event)) = spans.get(apply_pos[d]) {
-                        if event.cycle != cycle {
-                            break;
-                        }
-                        tracer.record(id, event);
-                        apply_pos[d] += 1;
-                    }
-                }
-            }
-            debug_assert!(deltas
-                .iter()
-                .enumerate()
-                .all(|(d, delta)| local_pos[d] == delta.trace_local.len()
-                    && apply_pos[d] == delta.trace_apply.len()));
+            merge_by_cycle(
+                &deltas,
+                &[|d| &d.trace_local, |d| &d.trace_apply],
+                start..=end,
+                |&(_, event)| event.cycle,
+                |(id, event)| tracer.record(id, event),
+            );
         }
 
         // Zero-progress runs that crossed the deadlock-recovery timeout
@@ -1089,51 +1044,42 @@ impl Noc {
             }
         }
 
-        // Apply the window's record events cycle by cycle (each delta's
-        // events are cycle-ascending, so one cursor per delta suffices),
-        // stamping every event with its own cycle — bit-identical to a
-        // per-cycle merge, including the order latency observations reach
-        // the histogram.
-        let mut record_pos = vec![0usize; deltas.len()];
-        for cycle in start..=end {
-            for (d, delta) in deltas.iter().enumerate() {
-                let events = &delta.record_events;
-                while let Some(&(at, ev)) = events.get(record_pos[d]) {
-                    if at != cycle {
-                        break;
-                    }
-                    record_pos[d] += 1;
-                    match ev {
-                        RecordEvent::Injected(id) => {
-                            if let Some(record) = self.stats.record_mut(id) {
-                                if record.injected.is_none() {
-                                    record.injected = Some(at);
-                                }
-                            }
-                        }
-                        RecordEvent::Header(id) => {
-                            if let Some(record) = self.stats.record_mut(id) {
-                                record.header_delivered = Some(at);
-                            }
-                        }
-                        RecordEvent::Delivered(id) => {
-                            let mut latency = None;
-                            if let Some(record) = self.stats.record_mut(id) {
-                                record.delivered = Some(at);
-                                latency = Some(at - record.sent);
-                            }
-                            if let Some(latency) = latency {
-                                self.stats.observe_latency(latency);
-                            }
-                        }
+        // Apply the window's record events cycle by cycle, shard order
+        // within a cycle, stamping every event with its own cycle —
+        // bit-identical to a per-cycle merge, including the order latency
+        // observations reach the histogram.
+        let stats = &mut self.stats;
+        let apply = |(at, event): (u64, RecordEvent)| match event {
+            RecordEvent::Injected(id) => {
+                if let Some(record) = stats.record_mut(id) {
+                    if record.injected.is_none() {
+                        record.injected = Some(at);
                     }
                 }
             }
-        }
-        debug_assert!(deltas
-            .iter()
-            .enumerate()
-            .all(|(d, delta)| record_pos[d] == delta.record_events.len()));
+            RecordEvent::Header(id) => {
+                if let Some(record) = stats.record_mut(id) {
+                    record.header_delivered = Some(at);
+                }
+            }
+            RecordEvent::Delivered(id) => {
+                let mut latency = None;
+                if let Some(record) = stats.record_mut(id) {
+                    record.delivered = Some(at);
+                    latency = Some(at - record.sent);
+                }
+                if let Some(latency) = latency {
+                    stats.observe_latency(latency);
+                }
+            }
+        };
+        merge_by_cycle(
+            &deltas,
+            &[|d| &d.record_events],
+            start..=end,
+            |&(at, _)| at,
+            apply,
+        );
 
         let mut last_busy = 0u64;
         for delta in &mut deltas {
@@ -1305,44 +1251,25 @@ impl Noc {
         self.stats.cycles = target;
     }
 
-    /// Runs for exactly `cycles` clock cycles.
-    ///
-    /// Under the parallel kernel the cycles are batched into windows of
-    /// [`NocConfig::batch_window`](crate::NocConfig) cycles per barrier
-    /// round (the final window is clamped so the run ends exactly at
-    /// `cycles`); the other kernels step cycle by cycle. Either way the
-    /// call returns at a fully merged cycle boundary with bit-identical
-    /// observables.
+    /// Runs for exactly `cycles` clock cycles, batched into windows of
+    /// [`NocConfig::batch_window`](crate::NocConfig) cycles per dispatch
+    /// (the final window is clamped so the run ends exactly at
+    /// `cycles`). The call returns at a fully merged cycle boundary with
+    /// observables bit-identical to stepping cycle by cycle.
     pub fn run(&mut self, cycles: u64) {
-        if let KernelMode::Parallel { threads } = self.config.kernel {
-            let mut remaining = cycles;
-            while remaining > 0 {
-                let base = self.cycle + 1;
-                let w = u64::from(self.window_size()).min(remaining) as u32;
-                let w = self.clamp_window_to_telemetry(base, w);
-                self.cycle += u64::from(w);
-                remaining -= u64::from(w);
-                self.step_parallel_window(base, threads, w);
-                if let Some(profiler) = self.profiler.as_deref() {
-                    profiler.bump_cycles(u64::from(w));
-                }
-                self.stats.cycles = self.cycle;
-                self.telemetry_tick();
-            }
-        } else {
-            for _ in 0..cycles {
-                self.step();
-            }
+        let mut remaining = cycles;
+        while remaining > 0 {
+            let window = u64::from(self.window_size()).min(remaining) as u32;
+            remaining -= self.run_window(window, false);
         }
     }
 
     /// Runs until the network is idle.
     ///
-    /// Under the parallel kernel the drain proceeds in batched windows;
-    /// trailing cycles of a window in which every shard's walk was empty
-    /// mutate nothing, so the clock is rewound to the last busy cycle and
-    /// the count of cycles actually spent matches the sequential kernels
-    /// exactly.
+    /// The drain proceeds in batched windows; trailing cycles of a window
+    /// in which every shard's walk was empty mutate nothing, so the clock
+    /// is rewound to the last busy cycle and the count of cycles actually
+    /// spent matches a cycle-by-cycle drain exactly.
     ///
     /// # Errors
     ///
@@ -1350,37 +1277,13 @@ impl Noc {
     /// cycles.
     pub fn run_until_idle(&mut self, budget: u64) -> Result<u64, NocError> {
         let start = self.cycle;
-        if let KernelMode::Parallel { threads } = self.config.kernel {
-            while !self.is_idle() {
-                let spent = self.cycle - start;
-                if spent >= budget {
-                    return Err(NocError::NotIdle { budget });
-                }
-                let base = self.cycle + 1;
-                let w = u64::from(self.window_size()).min(budget - spent) as u32;
-                let w = self.clamp_window_to_telemetry(base, w);
-                let last_busy = self.step_parallel_window(base, threads, w);
-                // Not idle on entry ⇒ some walk was non-empty, so
-                // `last_busy >= base`; it equals the window end whenever
-                // traffic is still in flight.
-                debug_assert!(last_busy >= base);
-                self.cycle = last_busy;
-                if let Some(profiler) = self.profiler.as_deref() {
-                    profiler.bump_cycles(last_busy - base + 1);
-                }
-                self.stats.cycles = self.cycle;
-                // After the idle-tail rewind the clock sits exactly where
-                // the sequential kernels stopped; the tick fires only if
-                // that is a sample boundary, keeping the streams aligned.
-                self.telemetry_tick();
-            }
-            return Ok(self.cycle - start);
-        }
         while !self.is_idle() {
-            if self.cycle - start >= budget {
+            let spent = self.cycle - start;
+            if spent >= budget {
                 return Err(NocError::NotIdle { budget });
             }
-            self.step();
+            let window = u64::from(self.window_size()).min(budget - spent) as u32;
+            self.run_window(window, true);
         }
         Ok(self.cycle - start)
     }
@@ -1447,19 +1350,19 @@ impl Noc {
     /// [`snapshot`](crate::snapshot) container of kind
     /// [`KIND_NOC`](crate::snapshot::KIND_NOC).
     ///
-    /// Transient kernel scratch (step list, shard merge buffers, worker
-    /// pool) and the wall-clock phase profiler's accumulated timings are
+    /// Transient kernel scratch (shard merge buffers, worker pool) and
+    /// the wall-clock phase profiler's accumulated timings are
     /// deliberately excluded: they carry no simulation state, and the
     /// profiler measures host time, which is not deterministic. Only the
     /// profiler's *enabled* flag is preserved.
     ///
     /// Because this method borrows the network, it can only run between
     /// public stepping calls — and every such call (including a batched
-    /// [`run`](Self::run) under the parallel kernel, whose final window
-    /// is clamped to the requested cycle count) returns at a fully merged
-    /// cycle boundary. A mid-window state is unobservable here, so every
-    /// snapshot is exact and restoring it under any kernel or window
-    /// size resumes bit-identically.
+    /// [`run`](Self::run), whose final window is clamped to the
+    /// requested cycle count) returns at a fully merged cycle boundary.
+    /// A mid-window state is unobservable here, so every snapshot is
+    /// exact and restoring it under any kernel or window size resumes
+    /// bit-identically.
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         self.snapshot_write(&mut w);
@@ -2446,4 +2349,28 @@ mod tests {
 
     /// A mid-payload offset used by the bit-flip test.
     const HEADER_LEN_PROBE: usize = 64;
+
+    #[test]
+    fn a_panicking_shard_is_re_raised_instead_of_hanging_its_peers() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let config =
+                NocConfig::mesh(4, 4).with_kernel_mode(KernelMode::Parallel { threads: 2 });
+            let mut noc = Noc::new(config).unwrap();
+            noc.advance_idle(kernel::PANIC_IN_SHARD_1_AT - 1);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| noc.run(8)));
+            // The poisoned pool was dropped while unwinding; dropping the
+            // network must not hang either.
+            drop(noc);
+            tx.send(
+                outcome
+                    .err()
+                    .and_then(|p| p.downcast_ref::<String>().cloned()),
+            )
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a panicking shard must not leave its peers waiting forever");
+        assert_eq!(message.as_deref(), Some("injected panic in shard 1"));
+    }
 }

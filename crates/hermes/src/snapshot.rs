@@ -26,7 +26,7 @@
 //! parse ([`MIN_SNAPSHOT_VERSION`]..=[`SNAPSHOT_VERSION`]) and reject
 //! everything else with [`SnapshotError::UnsupportedVersion`]. Snapshots are portable
 //! across kernel modes by construction — the determinism contract makes
-//! `Reference`, `Active` and `Parallel` kernels produce bit-identical
+//! the `Reference` and `Parallel` kernels produce bit-identical
 //! observable state, so a snapshot taken under one kernel restores under
 //! any other.
 

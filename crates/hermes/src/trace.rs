@@ -6,9 +6,9 @@
 //! each header link transfer, arrival at the destination's local port and
 //! final delivery (or a drop) — together with the occupancy of the input
 //! buffer the packet was sitting in. Events are collected through the
-//! two-phase kernel's `ShardDelta`s and replayed at merge time in shard
-//! order, so `Reference`, `Active` and `Parallel` kernels (at any thread
-//! count) emit bit-identical streams; the trace doubles as a correctness
+//! shard engine's `ShardDelta`s and replayed at merge time in shard
+//! order, so the `Reference` oracle and `Parallel` (at any thread count
+//! and batch window) emit bit-identical streams; the trace doubles as a correctness
 //! oracle for the deterministic parallel engine.
 //!
 //! Traces live in the same bounded-ring discipline as the statistics

@@ -1,6 +1,6 @@
 //! Differential test of the cycle kernels: for the same seed and
-//! workload, `KernelMode::Active` and `KernelMode::Parallel` (at any
-//! thread count) must be indistinguishable from `KernelMode::Reference`
+//! workload, `KernelMode::Parallel` (at any thread count and batch
+//! window) must be indistinguishable from `KernelMode::Reference`
 //! — identical cycle counts, identical statistics (including fault and
 //! health counters fed by the site-keyed random streams), identical
 //! per-packet records and identical delivered packets — on healthy,
@@ -35,11 +35,10 @@ fn snapshot(stats: &NocStats) -> impl PartialEq + std::fmt::Debug {
 }
 
 /// The kernel line-up every differential run covers: the full-mesh
-/// reference walk, the quiescence-aware active set, and the sharded
-/// parallel engine at degenerate, even and oversubscribed thread counts.
-const KERNELS: [KernelMode; 5] = [
+/// reference walk and the shard engine at the default one shard, even
+/// and oversubscribed thread counts.
+const KERNELS: [KernelMode; 4] = [
     KernelMode::Reference,
-    KernelMode::Active,
     KernelMode::Parallel { threads: 1 },
     KernelMode::Parallel { threads: 2 },
     KernelMode::Parallel { threads: 8 },
@@ -232,7 +231,7 @@ fn schedule(w: u8, h: u8, packets: usize, spacing: u64) -> Vec<Send> {
 #[test]
 fn healthy_workload_is_cycle_identical() {
     // Bursty phase, long idle gap, another burst: exercises both the busy
-    // and the quiescent paths of the active-set kernel.
+    // and the quiescent paths of the active-set walk.
     let mut sends = schedule(4, 4, 40, 9);
     for (i, s) in schedule(4, 4, 10, 13).into_iter().enumerate() {
         sends.push(Send {
@@ -342,6 +341,27 @@ fn parallel_kernel_is_thread_count_invariant() {
 }
 
 #[test]
+fn one_shard_profile_charges_no_barrier_or_mailbox_time() {
+    // One shard has no barrier and no mailbox, so the phase profiler must
+    // charge nothing to either; two shards really do synchronise.
+    let profile = |kernel| {
+        let config = NocConfig::mesh(8, 8).with_kernel_mode(kernel);
+        let mut noc = Noc::new(config).expect("valid config");
+        noc.enable_phase_profiler();
+        let mut fp = String::new();
+        drive_chunked(&mut noc, &schedule(8, 8, 60, 5), 400, &mut fp);
+        noc.run_until_idle(100_000).expect("drains");
+        noc.phase_profile().expect("profiler enabled")
+    };
+    for kernel in [KernelMode::Parallel { threads: 1 }, KernelMode::Reference] {
+        let p = profile(kernel);
+        assert!(p.cycles > 0 && p.busy_nanos() > 0, "{kernel:?}: {p:?}");
+        assert_eq!((p.barrier_nanos, p.apply_dst_nanos), (0, 0), "{kernel:?}");
+    }
+    assert!(profile(KernelMode::Parallel { threads: 2 }).barrier_nanos > 0);
+}
+
+#[test]
 fn long_run_stats_stay_within_the_configured_window() {
     let window = 16;
     let mut noc = Noc::new(NocConfig::mesh(2, 2).with_stats_window(window)).expect("valid config");
@@ -420,7 +440,6 @@ fn batched_windows_are_bit_identical_across_window_and_thread_sweeps() {
         let baseline = chunked_fingerprint(config.clone(), plan.as_ref(), &sends, cycles);
         for window in [1u32, 2, 5, 16] {
             for kernel in [
-                KernelMode::Active,
                 KernelMode::Parallel { threads: 1 },
                 KernelMode::Parallel { threads: 2 },
                 KernelMode::Parallel { threads: 8 },
@@ -461,7 +480,6 @@ fn topology_sweep_is_bit_identical_across_kernels_windows_and_threads() {
         for window in [1u32, 16] {
             for kernel in [
                 KernelMode::Reference,
-                KernelMode::Active,
                 KernelMode::Parallel { threads: 1 },
                 KernelMode::Parallel { threads: 2 },
                 KernelMode::Parallel { threads: 8 },

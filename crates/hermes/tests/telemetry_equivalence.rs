@@ -1,7 +1,7 @@
 //! Differential test of the interval telemetry sampler: for the same
 //! workload, the exported time-series JSON and Prometheus documents (and
 //! therefore every frame, hotspot and congestion alert in them) must be
-//! **byte-identical** across `Reference`, `Active` and `Parallel` kernels
+//! **byte-identical** across the `Reference` and `Parallel` kernels
 //! at any thread count and batch window, on every topology — plus
 //! equivalence across stepping styles (`step` vs odd `run` chunks vs
 //! `advance_idle`) and across a snapshot/restore split.
@@ -16,11 +16,10 @@ use hermes_noc::{
     CongestionKind, D2dChannel, KernelMode, Noc, NocConfig, Packet, RouterAddr, TelemetryConfig,
 };
 
-/// Kernel line-up: reference scan, active set, sharded parallel engine
-/// at degenerate, even and oversubscribed thread counts.
-const KERNELS: [KernelMode; 5] = [
+/// Kernel line-up: the full-scan oracle and the shard engine at the
+/// default one shard, even and oversubscribed thread counts.
+const KERNELS: [KernelMode; 4] = [
     KernelMode::Reference,
-    KernelMode::Active,
     KernelMode::Parallel { threads: 1 },
     KernelMode::Parallel { threads: 2 },
     KernelMode::Parallel { threads: 8 },

@@ -1,6 +1,6 @@
 //! Differential test of the observability layer: for the same seed and
-//! workload, every kernel (`Reference`, `Active`, `Parallel` at any
-//! thread count) must export the byte-identical Perfetto trace document
+//! workload, every kernel (`Reference`, `Parallel` at any thread
+//! count) must export the byte-identical Perfetto trace document
 //! and the byte-identical metrics snapshot — the trace stream doubles as
 //! a correctness oracle for the deterministic parallel engine. Property
 //! tests then tie the traced spans back to the routing algorithm: a
@@ -39,9 +39,8 @@ fn schedule(w: u8, h: u8, packets: usize, spacing: u64) -> Vec<Send> {
         .collect()
 }
 
-const KERNELS: [KernelMode; 5] = [
+const KERNELS: [KernelMode; 4] = [
     KernelMode::Reference,
-    KernelMode::Active,
     KernelMode::Parallel { threads: 1 },
     KernelMode::Parallel { threads: 2 },
     KernelMode::Parallel { threads: 8 },

@@ -1878,10 +1878,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Overrides the simulation kernel of the network — e.g.
-    /// [`KernelMode::Parallel`] to
-    /// shard big meshes over worker threads. All kernels produce
-    /// bit-identical system behaviour; this is purely a wall-clock knob.
+    /// Overrides the simulation kernel of the network (default
+    /// [`KernelMode::Parallel`] on one shard) — e.g. more threads to
+    /// shard a big mesh over worker threads, or
+    /// [`KernelMode::Reference`], the full-scan test oracle. All kernels
+    /// produce bit-identical system behaviour; this is purely a
+    /// wall-clock knob.
     pub fn kernel(mut self, kernel: hermes_noc::KernelMode) -> Self {
         let config = self.noc.unwrap_or_else(NocConfig::multinoc);
         self.noc = Some(config.with_kernel_mode(kernel));

@@ -100,7 +100,6 @@ fn fingerprint(sys: &System, elapsed: u64) -> (u64, u64, String, String, String,
 fn every_kernel_produces_the_same_system_run() {
     let kernels = [
         KernelMode::Reference,
-        KernelMode::Active,
         KernelMode::Parallel { threads: 1 },
         KernelMode::Parallel { threads: 2 },
         KernelMode::Parallel { threads: 4 },
@@ -134,7 +133,6 @@ fn every_kernel_produces_the_same_failover() {
     // counter must be bit-identical whichever kernel the NoC runs on.
     let kernels = [
         KernelMode::Reference,
-        KernelMode::Active,
         KernelMode::Parallel { threads: 1 },
         KernelMode::Parallel { threads: 2 },
         KernelMode::Parallel { threads: 4 },
@@ -210,12 +208,12 @@ fn every_kernel_produces_the_same_failover() {
 fn batch_window_never_changes_a_system_run() {
     // The batch-window knob is pure pacing: whatever window the parallel
     // kernel batches under, the program-driven run — memory contents,
-    // retries, service counters, histogram — must match the per-cycle
-    // active-set baseline exactly.
+    // retries, service counters, histogram — must match the default
+    // kernel's baseline exactly.
     let plan = || FaultPlan::new(0xFA57).with_drop_rate(0.15);
     let mut baseline = None;
     for (kernel, window) in [
-        (KernelMode::Active, 0u32),
+        (KernelMode::Parallel { threads: 1 }, 0u32),
         (KernelMode::Parallel { threads: 2 }, 1),
         (KernelMode::Parallel { threads: 2 }, 5),
         (KernelMode::Parallel { threads: 2 }, 16),
@@ -267,7 +265,7 @@ fn topology_never_changes_kernel_invariance() {
         let mut baseline = None;
         for (kernel, window) in [
             (KernelMode::Reference, 0u32),
-            (KernelMode::Active, 0),
+            (KernelMode::Parallel { threads: 1 }, 0),
             (KernelMode::Parallel { threads: 1 }, 1),
             (KernelMode::Parallel { threads: 2 }, 16),
             (KernelMode::Parallel { threads: 8 }, 16),
@@ -309,9 +307,10 @@ fn topology_never_changes_kernel_invariance() {
 #[test]
 fn auto_kernel_builds_and_runs() {
     // `KernelMode::auto` picks by mesh size and host parallelism; on the
-    // paper's 2×2 it must stay sequential, and whatever it picks must run.
+    // paper's 2×2 it must stay on one shard, and whatever it picks must
+    // run.
     let auto = KernelMode::auto(2, 2);
-    assert_eq!(auto, KernelMode::Active);
+    assert_eq!(auto, KernelMode::Parallel { threads: 1 });
     let mut sys = build(auto, None);
     load_workload(&mut sys);
     sys.run_until_halted(1_000_000).expect("run halts");

@@ -134,7 +134,7 @@ fn fingerprint(sys: &System) -> Vec<String> {
 #[test]
 fn healthy_run_resumes_identically_from_every_cycle() {
     // The reference world: never interrupted.
-    let mut reference = build(KernelMode::Active, None);
+    let mut reference = build(KernelMode::Parallel { threads: 1 }, None);
     load_workload(&mut reference);
     reference.run_until_halted(1_000_000).expect("run halts");
     let want = fingerprint(&reference);
@@ -142,7 +142,7 @@ fn healthy_run_resumes_identically_from_every_cycle() {
     // The probed world: checkpointed at every single cycle. Each
     // checkpoint must (a) survive an immediate restore + re-checkpoint
     // byte-for-byte, and (b) resume to the exact reference fingerprint.
-    let mut stepped = build(KernelMode::Active, None);
+    let mut stepped = build(KernelMode::Parallel { threads: 1 }, None);
     load_workload(&mut stepped);
     let mut cycles_probed = 0u64;
     loop {
@@ -229,7 +229,7 @@ fn faulted_run_resumes_identically() {
     assert_resumes_identically(
         || {
             let mut sys = build(
-                KernelMode::Active,
+                KernelMode::Parallel { threads: 1 },
                 Some(FaultPlan::new(0xFA57).with_drop_rate(0.15)),
             );
             sys.enable_trace(4096);
@@ -253,7 +253,7 @@ fn degraded_run_resumes_identically() {
     assert_resumes_identically(
         || {
             build(
-                KernelMode::Active,
+                KernelMode::Parallel { threads: 1 },
                 Some(FaultPlan::new(11).with_link_down(
                     RouterAddr::new(0, 1),
                     Port::East,
@@ -432,7 +432,7 @@ fn checkpoint_file_round_trips_atomically() {
     let dir = std::env::temp_dir().join(format!("multinoc-recovery-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("mid_flight.mnsp");
-    let mut sys = build(KernelMode::Active, None);
+    let mut sys = build(KernelMode::Parallel { threads: 1 }, None);
     load_workload(&mut sys);
     sys.run(40).expect("run");
     sys.checkpoint_to_file(&path).expect("write checkpoint");
@@ -455,12 +455,12 @@ fn auto_checkpoint_writes_on_schedule_and_resumes() {
     let dir = std::env::temp_dir().join(format!("multinoc-autockpt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("auto.mnsp");
-    let mut reference = build(KernelMode::Active, None);
+    let mut reference = build(KernelMode::Parallel { threads: 1 }, None);
     load_workload(&mut reference);
     reference.run_until_halted(1_000_000).expect("run halts");
     let want = fingerprint(&reference);
 
-    let mut sys = build(KernelMode::Active, None);
+    let mut sys = build(KernelMode::Parallel { threads: 1 }, None);
     load_workload(&mut sys);
     sys.enable_auto_checkpoint(&path, 25);
     sys.run(120).expect("run");

@@ -16,7 +16,7 @@ const PROCESSOR: NodeId = NodeId(1);
 /// Kernels and batch windows every export is compared across.
 const KERNELS: [KernelMode; 4] = [
     KernelMode::Reference,
-    KernelMode::Active,
+    KernelMode::Parallel { threads: 1 },
     KernelMode::Parallel { threads: 2 },
     KernelMode::Parallel { threads: 8 },
 ];

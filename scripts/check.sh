@@ -18,7 +18,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
 echo "=== cargo test ==="
 # Includes the differential kernel suites: hermes/tests/kernel_equivalence.rs
-# (reference full scan vs active set vs parallel shards at 1/2/8 threads,
+# (the reference full scan vs the shard engine at 1/2/8 threads,
 # cycle-identical, plus the batch-window sweep — every window size in
 # {1,2,5,16} × every thread count bit-identical on healthy, faulted,
 # degraded and router-killed schedules, with checkpoint/restore at
@@ -27,6 +27,12 @@ echo "=== cargo test ==="
 # multinoc/tests/fast_forward_equivalence.rs (idle fast-forward vs
 # single-stepping).
 cargo test -q --offline --workspace
+
+echo "=== cargo test (sysbench, a workspace of its own) ==="
+# The full-system benchmark's unit tests: every workload passes its
+# checks, the kernels agree on every workload, and its paper system
+# matches System::paper_config under the default kernel.
+cargo test -q --release --offline --manifest-path sysbench/Cargo.toml
 
 echo "=== experiments, smoke scale (every registry entry, fixed seeds) ==="
 # Runs E1-E25 at smoke size; artifacts go to target/exp-smoke/, never
