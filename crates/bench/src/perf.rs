@@ -473,7 +473,7 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
             Obj::new()
                 .with("name", name)
                 .with("cycles", base_fingerprint.cycles)
-                .with("default_cycles_per_sec", fixed(base_cps, 0))
+                .with("threads1_cycles_per_sec", fixed(base_cps, 0))
                 .with("threads", points),
         );
     }

@@ -265,8 +265,9 @@ pub(crate) struct CycleShared {
     /// slice covering its own router range.
     pub active: *mut bool,
     /// The statistics' mirror of the per-router hardware counters; each
-    /// shard copies the counters of the routers it walked, at the end of
-    /// every cycle (only walked routers ever change theirs).
+    /// shard copies the counters of the routers it walked, when they
+    /// retire and at the end of the window (only walked routers ever
+    /// change theirs).
     pub counters: *mut RouterCounters,
     pub n_routers: usize,
     pub n_shards: usize,
@@ -984,8 +985,8 @@ impl<'a> Lap<'a> {
 /// Runs `sh.window` cycles of the fused engine for `shard`: each cycle
 /// drains the shard's mailbox (from the second cycle on), walks the
 /// shard's active nodes (every node under `full_scan`) through local →
-/// decide → apply, mirrors the walked routers' counters and retires nodes
-/// that went quiescent; a final drain after the last cycle lands the
+/// decide → apply and retires nodes that went quiescent, mirroring the
+/// counters of every walked router by the end of the window; a final drain after the last cycle lands the
 /// window's trailing cross-shard flits so the merged state matches the
 /// sequential end-of-cycle state exactly. Every participating shard
 /// (including the caller) must call this exactly once per window with the
@@ -1045,14 +1046,20 @@ pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: Option<&
         lap.mark(ProfiledPhase::Decide);
         sync(&mut lap);
         phase_apply_src(sh, now, &range, delta);
-        // Mirror the walked routers' counters and retire nodes that went
-        // quiescent this cycle. A node retired here that a foreign shard
-        // just sent a flit to is re-woken by the next drain, before
-        // anyone observes the flags.
+        // Retire nodes that went quiescent this cycle, mirroring their
+        // counters as they leave the walk. A node that stays active is
+        // walked again next cycle, so the last cycle of the window mirrors
+        // every walked node and no change escapes the mirror. A node
+        // retired here that a foreign shard just sent a flit to is
+        // re-woken by the next drain, before anyone observes the flags.
+        let last = step + 1 == u64::from(sh.window);
         for &idx in &walk {
             let router = sh.router(idx);
-            *sh.counters.add(idx) = router.counters;
-            if router.is_idle() && sh.endpoint(idx).outgoing.is_empty() {
+            let retire = router.is_idle() && sh.endpoint(idx).outgoing.is_empty();
+            if retire || last {
+                *sh.counters.add(idx) = router.counters;
+            }
+            if retire {
                 *sh.active.add(idx) = false;
             }
         }
@@ -1318,8 +1325,10 @@ impl WorkerPool {
     ///
     /// Re-raises the first panic of any shard (after poisoning the
     /// barrier, so no peer is left waiting). The pool is unusable
-    /// afterwards; dropping it joins the workers, each of which exits as
-    /// soon as it reaches the poisoned barrier.
+    /// afterwards, and so is the network the window was stepping (see
+    /// [`Noc::step`](crate::Noc::step)); dropping the pool joins the
+    /// workers, each of which exits as soon as it reaches the poisoned
+    /// barrier.
     ///
     /// # Safety
     ///

@@ -111,9 +111,8 @@ pub(crate) fn decide_route(
 /// Visits every item of the cycle-tagged `streams` of every delta in
 /// merge order: cycle by cycle over `cycles`, and within a cycle stream
 /// by stream, each in shard (= ascending router) order. Every stream is
-/// cycle-ascending, so a one-cycle window or a single stream is already
-/// in that order; otherwise one cursor per stream and delta walks them
-/// in step.
+/// cycle-ascending, so one cursor per stream and delta walks them in
+/// step.
 fn merge_by_cycle<T: Copy>(
     deltas: &[ShardDelta],
     streams: &[fn(&ShardDelta) -> &Vec<T>],
@@ -121,12 +120,6 @@ fn merge_by_cycle<T: Copy>(
     cycle_of: impl Fn(&T) -> u64,
     mut visit: impl FnMut(T),
 ) {
-    if cycles.start() == cycles.end() || streams.len() * deltas.len() == 1 {
-        for stream in streams {
-            deltas.iter().flat_map(stream).for_each(|&item| visit(item));
-        }
-        return;
-    }
     let mut pos = vec![0usize; streams.len() * deltas.len()];
     for cycle in cycles {
         let cursors = streams.iter().flat_map(|s| deltas.iter().map(s));
@@ -189,6 +182,10 @@ pub struct Noc {
     /// [`KernelMode::Parallel`], created lazily on the first multi-shard
     /// window and joined on drop.
     pool: Option<WorkerPool>,
+    /// Set while a window is stepped and merged. It stays set only if a
+    /// shard panicked mid-window, leaving routers and merge buffers
+    /// half-updated; every later step then refuses to run.
+    window_open: bool,
     /// Packet-lifecycle tracer; `None` (the default) makes every trace
     /// hook a single never-taken branch.
     tracer: Option<PacketTracer>,
@@ -241,6 +238,7 @@ impl Noc {
             active,
             deltas: Vec::new(),
             pool: None,
+            window_open: false,
             tracer: None,
             profiler: None,
             telemetry: None,
@@ -822,6 +820,16 @@ impl Noc {
     /// fault decisions are keyed by fault site and cycle — never by visit
     /// order — and every cross-router side effect is merged serially in
     /// ascending router order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a shard that panicked mid-window. The
+    /// network is unusable afterwards: that window's state is
+    /// half-updated, so this and every other stepping call ([`run`],
+    /// [`run_until_idle`]) panics from then on.
+    ///
+    /// [`run`]: Noc::run
+    /// [`run_until_idle`]: Noc::run_until_idle
     pub fn step(&mut self) {
         self.run_window(1, false);
     }
@@ -890,6 +898,11 @@ impl Noc {
             self.injector.is_none() || window == 1,
             "a fault plan forces 1-cycle windows"
         );
+        assert!(
+            !self.window_open,
+            "a shard panicked mid-window; this network's state is undefined"
+        );
+        self.window_open = true;
         self.wake_scheduled_stalls(base);
         // `Reference` is the one-shard full scan. More shards than rows
         // would only add idle workers: every shard owns whole grid rows.
@@ -920,7 +933,9 @@ impl Noc {
             unsafe { pool.run_window(shared) };
             self.pool = Some(pool);
         }
-        self.merge_window(base, base + u64::from(window) - 1)
+        let last_busy = self.merge_window(base, base + u64::from(window) - 1);
+        self.window_open = false;
+        last_busy
     }
 
     /// Publishes the raw per-window view the engine phases work through.
@@ -2358,19 +2373,28 @@ mod tests {
                 NocConfig::mesh(4, 4).with_kernel_mode(KernelMode::Parallel { threads: 2 });
             let mut noc = Noc::new(config).unwrap();
             noc.advance_idle(kernel::PANIC_IN_SHARD_1_AT - 1);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| noc.run(8)));
+            let message = |outcome: std::thread::Result<()>| {
+                let payload = outcome.expect_err("the step must panic");
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            };
+            let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| noc.run(8)));
+            // The half-stepped window must not be built on.
+            let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| noc.step()));
             // The poisoned pool was dropped while unwinding; dropping the
             // network must not hang either.
             drop(noc);
-            tx.send(
-                outcome
-                    .err()
-                    .and_then(|p| p.downcast_ref::<String>().cloned()),
-            )
+            tx.send((message(first), message(again)))
         });
-        let message = rx
+        let (first, again) = rx
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("a panicking shard must not leave its peers waiting forever");
-        assert_eq!(message.as_deref(), Some("injected panic in shard 1"));
+        assert_eq!(first.as_deref(), Some("injected panic in shard 1"));
+        assert_eq!(
+            again.as_deref(),
+            Some("a shard panicked mid-window; this network's state is undefined")
+        );
     }
 }
