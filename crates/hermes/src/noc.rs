@@ -182,8 +182,8 @@ pub struct Noc {
     /// [`KernelMode::Parallel`], created lazily on the first multi-shard
     /// window and joined on drop.
     pool: Option<WorkerPool>,
-    /// Set while a window is stepped and merged. It stays set only if a
-    /// shard panicked mid-window, leaving routers and merge buffers
+    /// Set while the shards step a window. It stays set only if a shard
+    /// panicked mid-window, leaving routers and merge buffers
     /// half-updated; every later step then refuses to run.
     window_open: bool,
     /// Packet-lifecycle tracer; `None` (the default) makes every trace
@@ -788,11 +788,9 @@ impl Noc {
         // flags a conservative superset of the busy set, so "all clear"
         // proves idleness; a stale superset merely falls through to the
         // full scan.
-        if !self.active.iter().any(|&a| a) {
-            return true;
-        }
-        self.endpoints.iter().all(LocalEndpoint::is_idle)
-            && self.routers.iter().all(Router::is_idle)
+        !self.active.iter().any(|&a| a)
+            || (self.endpoints.iter().all(LocalEndpoint::is_idle)
+                && self.routers.iter().all(Router::is_idle))
     }
 
     /// Wakes routers inside a scheduled control-stall window: a stalled
@@ -898,10 +896,7 @@ impl Noc {
             self.injector.is_none() || window == 1,
             "a fault plan forces 1-cycle windows"
         );
-        assert!(
-            !self.window_open,
-            "a shard panicked mid-window; this network's state is undefined"
-        );
+        assert!(!self.window_open, "a shard panicked mid-window");
         self.window_open = true;
         self.wake_scheduled_stalls(base);
         // `Reference` is the one-shard full scan. More shards than rows
@@ -933,9 +928,8 @@ impl Noc {
             unsafe { pool.run_window(shared) };
             self.pool = Some(pool);
         }
-        let last_busy = self.merge_window(base, base + u64::from(window) - 1);
         self.window_open = false;
-        last_busy
+        self.merge_window(base, base + u64::from(window) - 1)
     }
 
     /// Publishes the raw per-window view the engine phases work through.
@@ -1067,9 +1061,7 @@ impl Noc {
         let apply = |(at, event): (u64, RecordEvent)| match event {
             RecordEvent::Injected(id) => {
                 if let Some(record) = stats.record_mut(id) {
-                    if record.injected.is_none() {
-                        record.injected = Some(at);
-                    }
+                    record.injected.get_or_insert(at);
                 }
             }
             RecordEvent::Header(id) => {
@@ -1078,12 +1070,9 @@ impl Noc {
                 }
             }
             RecordEvent::Delivered(id) => {
-                let mut latency = None;
                 if let Some(record) = stats.record_mut(id) {
                     record.delivered = Some(at);
-                    latency = Some(at - record.sent);
-                }
-                if let Some(latency) = latency {
+                    let latency = at - record.sent;
                     stats.observe_latency(latency);
                 }
             }
@@ -2373,28 +2362,23 @@ mod tests {
                 NocConfig::mesh(4, 4).with_kernel_mode(KernelMode::Parallel { threads: 2 });
             let mut noc = Noc::new(config).unwrap();
             noc.advance_idle(kernel::PANIC_IN_SHARD_1_AT - 1);
-            let message = |outcome: std::thread::Result<()>| {
-                let payload = outcome.expect_err("the step must panic");
-                payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            };
             let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| noc.run(8)));
             // The half-stepped window must not be built on.
             let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| noc.step()));
             // The poisoned pool was dropped while unwinding; dropping the
             // network must not hang either.
             drop(noc);
-            tx.send((message(first), message(again)))
+            tx.send((first.err(), again.err()))
         });
         let (first, again) = rx
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("a panicking shard must not leave its peers waiting forever");
-        assert_eq!(first.as_deref(), Some("injected panic in shard 1"));
+        let first = first.expect("the shard's panic is re-raised");
         assert_eq!(
-            again.as_deref(),
-            Some("a shard panicked mid-window; this network's state is undefined")
+            first.downcast_ref(),
+            Some(&"injected panic in shard 1".to_string())
         );
+        let again = again.expect("the interrupted network refuses to step");
+        assert_eq!(again.downcast_ref(), Some(&"a shard panicked mid-window"));
     }
 }
