@@ -15,6 +15,8 @@
 //! CI failure. Determinism regressions are caught elsewhere, by the
 //! byte-identity assertions in the experiments themselves.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 use std::collections::BTreeMap;

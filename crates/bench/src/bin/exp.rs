@@ -6,6 +6,8 @@
 //! selected experiment runs even if an earlier one fails; the exit
 //! status is non-zero if any failed, and each failure is listed.
 
+#![forbid(unsafe_code)]
+
 fn main() -> std::process::ExitCode {
     multinoc_bench::main(std::env::args().skip(1))
 }

@@ -11,6 +11,8 @@
 //! a small parser used to validate exported artifacts without external
 //! dependencies.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Debug;
 use std::io::Write;
 use std::panic::{self, AssertUnwindSafe};
@@ -162,6 +164,12 @@ pub enum Value {
 /// A float value printed with `decimals` decimals.
 pub fn fixed(value: f64, decimals: usize) -> Value {
     Value::Raw(format!("{value:.decimals$}"))
+}
+
+/// The CPUs this process may run on, recorded with every wall-clock
+/// timing so a rate is never read without the host it came from.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 macro_rules! display_value {

@@ -33,7 +33,7 @@ use multinoc::serial::{HostCommand, SerialConfig, SYNC_BYTE};
 use multinoc::{NodeId, System};
 use r8::asm::assemble;
 
-use crate::{fixed, BoxError, Obj, Report, Scale};
+use crate::{fixed, host_cpus, BoxError, Obj, Report, Scale};
 
 /// Seed shared by every workload.
 const SEED: u64 = 0xE20_BEEF;
@@ -388,9 +388,7 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
     // only hard requirement is bit-identical simulated outcomes, checked
     // against the threads=1 point (the default kernel) before any rate
     // is recorded.
-    let host_cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let host_cpus = host_cpus();
     writeln!(
         r,
         "\n  parallel kernel thread sweep (host has {host_cpus} CPU(s);\n\
@@ -440,7 +438,7 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
                 let _ = writeln!(
                     r,
                     "      phases: local {:.0}% decide {:.0}% apply-src {:.0}% \
-                     apply-dst {:.0}% barrier {:.0}%",
+                     mailbox {:.0}% barrier {:.0}%",
                     pct(ph.local_nanos),
                     pct(ph.decide_nanos),
                     pct(ph.apply_src_nanos),
@@ -451,7 +449,7 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
                     .with("local_nanos", ph.local_nanos)
                     .with("decide_nanos", ph.decide_nanos)
                     .with("apply_src_nanos", ph.apply_src_nanos)
-                    .with("apply_dst_nanos", ph.apply_dst_nanos)
+                    .with("mailbox_nanos", ph.apply_dst_nanos)
                     .with("barrier_nanos", ph.barrier_nanos)
                     .with("barrier_fraction", fixed(ph.barrier_fraction(), 4))
             });
@@ -550,6 +548,7 @@ pub fn perf(s: Scale, r: &mut Report) -> Result<(), BoxError> {
         .with("experiment", "E20 simulation-kernel performance")
         .with("seed", SEED)
         .with("scale", scale)
+        .with("host_cpus", host_cpus)
         .with("workloads", workloads)
         .with("bounded_stats", bounded)
         .with("peak_rss_kib", rss);

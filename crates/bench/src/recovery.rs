@@ -29,7 +29,7 @@ use hermes_noc::{CycleWindow, FaultPlan, KernelMode, NocConfig, Port, RouterAddr
 use multinoc::{NodeId, System};
 use r8::asm::assemble;
 
-use crate::{BoxError, Obj, Report, Scale, KERNELS};
+use crate::{host_cpus, BoxError, Obj, Report, Scale, KERNELS};
 
 /// Seed for the injected fault stream.
 const SEED: u64 = 0xC4A0_5E23;
@@ -404,6 +404,7 @@ pub fn recovery(scale: Scale, r: &mut Report) -> Result<(), BoxError> {
         .with("experiment", "E23 crash recovery")
         .with("seed", SEED)
         .with("smoke", scale == Scale::Smoke)
+        .with("host_cpus", host_cpus())
         .with("save_us", timings.save_us)
         .with("restore_us", timings.restore_us)
         .with("plain_run_us", timings.plain_run_us)

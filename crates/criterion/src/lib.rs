@@ -7,6 +7,7 @@
 //! one line per benchmark — no statistics, plots or baselines.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

@@ -22,10 +22,13 @@ pub enum KernelMode {
     /// routers with work (idle routers and endpoints are skipped until a
     /// flit arrival, a local injection or a scheduled control-logic stall
     /// wakes them), and multi-cycle runs are batched into windows of
-    /// [`NocConfig::batch_window`] cycles. Shard 0 runs on the stepping
-    /// thread; shards `1..threads` run on a persistent worker pool
-    /// synchronised by barriers, which pays off only on meshes large
-    /// enough to amortise the barrier cost (32×32 and up).
+    /// [`NocConfig::batch_window`] cycles. Each shard owns its rows'
+    /// routers and endpoints outright; cross-shard traffic goes through
+    /// per-router fullness masks and per-shard-pair mailboxes. Shard 0
+    /// runs on the stepping thread; shards `1..threads` run on a
+    /// persistent worker pool synchronised by barriers, which pays off
+    /// only on meshes large enough to amortise the barrier cost (32×32
+    /// and up). With one shard there is no pool, barrier or channel.
     Parallel {
         /// Number of shards (the calling thread runs one of them); must
         /// be at least 1.
@@ -345,9 +348,7 @@ impl NocConfig {
     }
 
     /// Serializes every configuration field for embedding in a snapshot.
-    /// The topology (tag + per-variant parameters) leads the stream;
-    /// version-2 snapshots predate it and open with the two mesh
-    /// dimensions instead (see [`snapshot_read`](Self::snapshot_read)).
+    /// The topology (tag + per-variant parameters) leads the stream.
     pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapshotWriter) {
         self.topology.snapshot_write(w);
         w.put_u8(self.flit_bits);
@@ -380,24 +381,12 @@ impl NocConfig {
 
     /// Decodes a configuration previously written by
     /// [`snapshot_write`](Self::snapshot_write). The caller still runs
-    /// [`validate`](Self::validate) afterwards. `version` is the
-    /// container format version: version-2 payloads predate the topology
-    /// abstraction and open with bare `width, height` bytes, which decode
-    /// as [`Topology::Mesh`] (the only shape that existed then); current
-    /// payloads open with a topology tag.
+    /// [`validate`](Self::validate) afterwards.
     pub(crate) fn snapshot_read(
         r: &mut crate::snapshot::SnapshotReader<'_>,
-        version: u32,
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
-        let topology = if version <= 2 {
-            Topology::Mesh {
-                width: r.take_u8()?,
-                height: r.take_u8()?,
-            }
-        } else {
-            Topology::snapshot_read(r)?
-        };
+        let topology = Topology::snapshot_read(r)?;
         let flit_bits = r.take_u8()?;
         let buffer_depth = r.take_usize()?;
         let routing_cycles = r.take_u32()?;
@@ -613,7 +602,7 @@ mod tests {
 
     #[test]
     fn legacy_active_kernel_tag_decodes_as_one_shard_parallel() {
-        use crate::snapshot::{SnapshotReader, SnapshotWriter, KIND_NOC, SNAPSHOT_VERSION};
+        use crate::snapshot::{SnapshotReader, SnapshotWriter, KIND_NOC};
         let config = NocConfig::mesh(3, 2);
         // The paper defaults, hand-encoded around kernel tag 0 — the tag
         // the retired one-shard active-set kernel was written under.
@@ -632,10 +621,7 @@ mod tests {
         w.put_u32(0); // batch window
         let legacy = w.finish(KIND_NOC);
         let mut r = SnapshotReader::open(&legacy, KIND_NOC).unwrap();
-        assert_eq!(
-            NocConfig::snapshot_read(&mut r, SNAPSHOT_VERSION),
-            Ok(config.clone())
-        );
+        assert_eq!(NocConfig::snapshot_read(&mut r), Ok(config.clone()));
         // The writer emits tag 2 plus the thread count for every `Parallel`.
         let mut w = SnapshotWriter::new();
         config.snapshot_write(&mut w);

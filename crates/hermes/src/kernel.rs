@@ -1,6 +1,25 @@
 //! The batched-window shard engine: the only stepping path, shared by
 //! every [`KernelMode`].
 //!
+//! **Ownership.** A window splits the network into shards of whole grid
+//! rows ([`shard_range`]). Each shard gets a [`ShardMut`]: `&mut` slices
+//! of its own routers, endpoints, activity flags and counter mirror, cut
+//! with `split_at_mut`, plus its own [`ShardDelta`]. Everything else a
+//! shard reads comes from the [`WindowCtx`] it shares by `&`: the
+//! configuration, route tables, epochs, fault injector, profiler and
+//! window flags. State crosses a shard boundary only through the two
+//! [`Channels`] of a multi-shard window:
+//!
+//! - a per-router **fullness mask** of the input buffers, published by
+//!   the owner in the local sub-phase and read by a neighbour's decide;
+//! - one **mailbox** per (source, destination) shard pair, carrying the
+//!   flits that cross the boundary.
+//!
+//! The only code outside the borrow checker's reach is the worker pool,
+//! which hands each worker its shard's view for one window and takes it
+//! back at the window's join; a single shard runs on the stepping thread
+//! with plain borrows.
+//!
 //! A cycle is three sub-phases, each reading only state the previous
 //! sub-phase left behind:
 //!
@@ -13,20 +32,20 @@
 //!    buffers, runs corruption rolls and delivers: locally to its
 //!    endpoint, directly into a same-shard neighbour's buffer (staged in
 //!    `inbox_local` so every pop of the cycle precedes every push), or
-//!    into the shard's `outbox` for a foreign-shard neighbour.
+//!    into the mailbox of a foreign neighbour's shard.
 //!
 //! Cross-shard flits are *mailbox-deferred*: the destination shard drains
-//! every foreign outbox at the start of its next cycle, before any state
-//! of that cycle is read. Because a flit that arrives in cycle `c` is not
+//! its mailboxes at the start of its next cycle, before any state of that
+//! cycle is read. Because a flit that arrives in cycle `c` is not
 //! routable before `c + 1` (`Flit::arrived` gates the header scan) and
 //! nothing reads the destination buffer between the end of `c` and the
 //! start of `c + 1`, draining at the next cycle's start is observably
 //! identical to the sequential push at the end of `c`.
 //!
 //! **Windows.** The engine batches `W` cycles per dispatch: one
-//! gate release, `3W` barriers and one serial merge instead of per-cycle
-//! dispatch and merge. This is sound whenever every merge-time feedback
-//! path into the phases is quiet — link-health failures, epoch
+//! gate release, `3W + 1` barriers and one serial merge instead of
+//! per-cycle dispatch and merge. This is sound whenever every merge-time
+//! feedback path into the phases is quiet — link-health failures, epoch
 //! announcements, deadlock recovery and scheduled stalls all require an
 //! installed fault plan or a non-empty epoch list, so
 //! [`Noc`](crate::Noc) collapses the window to 1 whenever either exists.
@@ -34,7 +53,7 @@
 //! updates (cycle-tagged), link-health observations, traces — are
 //! accumulated in per-shard [`ShardDelta`]s across the whole window and
 //! merged serially (in shard order, which is ascending router order; and
-//! in cycle order for the cycle-tagged streams) after the final barrier,
+//! in cycle order for the cycle-tagged streams) after the window's join,
 //! so the merged observables are independent of how routers were
 //! scheduled. Combined with the counter-based fault RNG (keyed by fault
 //! site and cycle, not draw order — see [`crate::fault`]), this makes
@@ -42,28 +61,25 @@
 //!
 //! **Active-set walk.** Each shard walks only the routers whose activity
 //! flag is set and retires a node once its router and source queue are
-//! quiescent. Flags are only ever written by their owning shard (retire
-//! and same-shard wake in apply, foreign wake while draining its own
-//! mailbox), so the flag array needs no synchronisation beyond the
-//! existing barriers. [`KernelMode::Reference`] sets `full_scan`, which
+//! quiescent. The flags live in the shard's own slice: retire and
+//! same-shard wake happen in apply, foreign wake while draining the
+//! shard's mailboxes. [`KernelMode::Reference`] sets `full_scan`, which
 //! walks every router of the shard instead — the differential-testing
 //! oracle for the walk — while still maintaining the flags.
 //!
-//! **One shard.** With a single shard there is no barrier and no
-//! mailbox: [`run_shard`] gets no [`SpinBarrier`], skips the drains (a
-//! single shard stages every transfer in `inbox_local`) and charges no
-//! profiler time to either.
+//! **One shard.** With a single shard there is no barrier and no channel:
+//! [`run_shard`] gets no [`SpinBarrier`], publishes no fullness, stages
+//! every transfer in `inbox_local` and charges no profiler time to
+//! barriers or mailboxes.
 //!
 //! [`KernelMode`]: crate::KernelMode
 //! [`KernelMode::Reference`]: crate::KernelMode::Reference
 
 use std::any::Any;
 use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
-use std::ptr::addr_of;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::panic;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::addr::{Port, RouterAddr};
@@ -193,11 +209,6 @@ pub(crate) struct ShardDelta {
     /// armed, which requires a non-empty epoch list and therefore a
     /// one-cycle window.
     pub stuck: Vec<(usize, usize)>,
-    /// Flits leaving this shard's routers for a foreign shard's input
-    /// buffers: `(destination router, input port index, flit)`. Drained
-    /// by the destination shard at the start of its next cycle and
-    /// cleared by the owner in its next apply sub-phase.
-    pub outbox: Vec<(usize, usize, Flit)>,
     /// Flits moving between this shard's own routers this cycle, staged
     /// so every pop of the apply sub-phase precedes every push.
     pub inbox_local: Vec<(usize, usize, Flit)>,
@@ -236,49 +247,30 @@ impl ShardDelta {
         self.transfers.clear();
         self.blocked_conns.clear();
         self.stuck.clear();
-        self.outbox.clear();
         self.inbox_local.clear();
         self.walk.clear();
         self.last_busy = 0;
     }
 }
 
-/// The per-window context shared by every shard: raw views of the router
-/// and endpoint arrays plus the immutable inputs of the window.
-///
-/// # Safety contract
-///
-/// The pointers are valid for the duration of one window (from
-/// publication until the final barrier) and accessed under the sub-phase
-/// discipline: a shard takes `&mut` only to routers/endpoints/deltas it
-/// owns, takes `&` to foreign routers only in sub-phases where no shard
-/// mutates routers (decide), reads foreign outboxes only in the
-/// mailbox-drain slot (two barriers away from both the owner's writes
-/// and its clear), and writes activity flags and mirrored counters only
-/// for nodes it owns.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CycleShared {
-    pub routers: *mut Router,
-    pub endpoints: *mut LocalEndpoint,
-    pub deltas: *mut ShardDelta,
-    /// Per-node activity flags; each shard reads and writes only the
-    /// slice covering its own router range.
-    pub active: *mut bool,
-    /// The statistics' mirror of the per-router hardware counters; each
-    /// shard copies the counters of the routers it walked, when they
-    /// retire and at the end of the window (only walked routers ever
-    /// change theirs).
-    pub counters: *mut RouterCounters,
-    pub n_routers: usize,
-    pub n_shards: usize,
-    pub config: *const NocConfig,
-    /// Null unless the topology routes by a precomputed healthy table
-    /// (the torus — see [`Topology::requires_route_table`]
-    /// (crate::Topology::requires_route_table)).
-    pub base_table: *const RouteTable,
-    pub epochs: *const [Epoch],
-    /// Null when no fault plan is installed.
-    pub injector: *const FaultInjector,
+/// The read-only per-window context every shard shares by `&`: the
+/// immutable inputs of the window plus, with two or more shards, the
+/// cross-shard [`Channels`].
+#[derive(Debug)]
+pub(crate) struct WindowCtx<'a> {
+    pub config: &'a NocConfig,
+    /// `None` unless the topology routes by a precomputed healthy table
+    /// (the torus — see
+    /// [`Topology::requires_route_table`](crate::Topology::requires_route_table)).
+    pub base_table: Option<&'a RouteTable>,
+    pub epochs: &'a [Epoch],
+    /// `None` when no fault plan is installed.
+    pub injector: Option<&'a FaultInjector>,
+    /// `None` unless the kernel phase profiler is enabled.
+    pub profiler: Option<&'a PhaseProfiler>,
+    /// `None` for a single shard, which owns every router and needs no
+    /// channel. The worker pool attaches its own.
+    pub channels: Option<&'a Channels>,
     /// First cycle of the window.
     pub now: u64,
     /// Number of cycles in this window (≥ 1). Anything that feeds merge
@@ -300,8 +292,127 @@ pub(crate) struct CycleShared {
     /// Walk every router of the shard each cycle instead of only the
     /// flagged ones ([`KernelMode::Reference`](crate::KernelMode::Reference)).
     pub full_scan: bool,
-    /// Null unless the kernel phase profiler is enabled.
-    pub profiler: *const PhaseProfiler,
+}
+
+/// A mailbox slot: `(destination router, input port index, flit)`.
+type Mail = Vec<(usize, usize, Flit)>;
+
+/// The only two ways state crosses a shard boundary. Both are written by
+/// one shard and read by another only across a barrier, so every lock is
+/// uncontended and the relaxed atomics need no ordering of their own: the
+/// barrier's release/acquire pair orders them.
+#[derive(Debug)]
+pub(crate) struct Channels {
+    /// Per-router input fullness, bit `p` set while input port `p`'s
+    /// buffer is full. The owning shard stores it at the end of its local
+    /// sub-phase for every walked router (sink pops in local free space
+    /// that decide sees the same cycle) and clears it when the router
+    /// retires (a retired router is empty). Decide reads it for a
+    /// neighbour in another shard — the only foreign router state any
+    /// phase reads.
+    full: Vec<AtomicU8>,
+    /// One slot per `(source, destination)` shard pair, at
+    /// `source * n_shards + destination`: flits leaving the source's
+    /// routers for the destination's input buffers. Filled in the
+    /// source's apply sub-phase and emptied by the destination at the
+    /// start of its next cycle.
+    mail: Vec<Mutex<Mail>>,
+    /// The first router of each shard, ascending.
+    starts: Vec<usize>,
+}
+
+impl Channels {
+    pub fn new(width: usize, height: usize, n_shards: usize) -> Self {
+        Self {
+            full: (0..width * height).map(|_| AtomicU8::new(0)).collect(),
+            mail: (0..n_shards * n_shards).map(|_| Mutex::default()).collect(),
+            starts: (0..n_shards)
+                .map(|shard| shard_range(width, height, n_shards, shard).start)
+                .collect(),
+        }
+    }
+
+    fn n_shards(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// The shard owning router `idx`.
+    fn shard_of(&self, idx: usize) -> usize {
+        self.starts.partition_point(|&start| start <= idx) - 1
+    }
+
+    fn publish_full(&self, idx: usize, router: &Router) {
+        let mut mask = 0;
+        for (p, input) in router.inputs.iter().enumerate() {
+            mask |= u8::from(input.buffer.is_full()) << p;
+        }
+        self.full[idx].store(mask, Ordering::Relaxed);
+    }
+
+    fn is_full(&self, idx: usize, port: usize) -> bool {
+        self.full[idx].load(Ordering::Relaxed) & (1 << port) != 0
+    }
+
+    fn mailbox(&self, src: usize, dst: usize) -> MutexGuard<'_, Mail> {
+        self.mail[src * self.n_shards() + dst]
+            .lock()
+            .expect("mailbox poisoned by a panicking shard")
+    }
+}
+
+/// One shard's exclusive view of the network for a window: its routers,
+/// endpoints, activity flags and counter mirror — contiguous slices cut
+/// along [`shard_range`] — and its own [`ShardDelta`]. Router indices stay
+/// global; `base` is the first one owned.
+#[derive(Debug)]
+pub(crate) struct ShardMut<'a> {
+    shard: usize,
+    base: usize,
+    routers: &'a mut [Router],
+    endpoints: &'a mut [LocalEndpoint],
+    active: &'a mut [bool],
+    /// The statistics' mirror of the per-router hardware counters; the
+    /// shard copies the counters of the routers it walked, when they
+    /// retire and at the end of the window (only walked routers ever
+    /// change theirs).
+    counters: &'a mut [RouterCounters],
+    delta: &'a mut ShardDelta,
+}
+
+/// Splits `len` elements off the front of `slice`.
+fn cut<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(slice).split_at_mut(len);
+    *slice = tail;
+    head
+}
+
+impl<'a> ShardMut<'a> {
+    /// Cuts the node arrays of a `width × height` network into one view
+    /// per delta (one shard per delta), in shard order.
+    pub fn split(
+        mut routers: &'a mut [Router],
+        mut endpoints: &'a mut [LocalEndpoint],
+        mut active: &'a mut [bool],
+        mut counters: &'a mut [RouterCounters],
+        deltas: &'a mut [ShardDelta],
+        width: usize,
+        height: usize,
+    ) -> impl Iterator<Item = ShardMut<'a>> {
+        let n_shards = deltas.len();
+        deltas.iter_mut().enumerate().map(move |(shard, delta)| {
+            let range = shard_range(width, height, n_shards, shard);
+            let len = range.len();
+            ShardMut {
+                shard,
+                base: range.start,
+                routers: cut(&mut routers, len),
+                endpoints: cut(&mut endpoints, len),
+                active: cut(&mut active, len),
+                counters: cut(&mut counters, len),
+                delta,
+            }
+        })
+    }
 }
 
 /// Test hook: shard 1 panics in a window starting at this cycle, which
@@ -309,82 +420,34 @@ pub(crate) struct CycleShared {
 #[cfg(test)]
 pub(crate) const PANIC_IN_SHARD_1_AT: u64 = 1 << 62;
 
-// SAFETY: the raw pointers are only dereferenced during an active window
-// under the barrier discipline documented on the struct; between windows
-// the copies held by the worker gate are stale and never touched.
-unsafe impl Send for CycleShared {}
-unsafe impl Sync for CycleShared {}
-
-/// Clamps a buffer length into the `u8` occupancy field of a span event.
-fn occupancy_of(len: usize) -> u8 {
-    len.min(usize::from(u8::MAX)) as u8
-}
-
-impl CycleShared {
-    unsafe fn config(&self) -> &NocConfig {
-        &*self.config
-    }
-
-    unsafe fn base_table(&self) -> Option<&RouteTable> {
-        self.base_table.as_ref()
-    }
-
-    unsafe fn epochs(&self) -> &[Epoch] {
-        &*self.epochs
-    }
-
-    unsafe fn injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
-    }
-
-    unsafe fn profiler(&self) -> Option<&PhaseProfiler> {
-        self.profiler.as_ref()
-    }
-
-    unsafe fn router(&self, idx: usize) -> &Router {
-        debug_assert!(idx < self.n_routers);
-        &*self.routers.add(idx)
-    }
-
-    #[allow(clippy::mut_from_ref)] // raw-view accessor; disjointness is the caller's contract
-    unsafe fn router_mut(&self, idx: usize) -> &mut Router {
-        debug_assert!(idx < self.n_routers);
-        &mut *self.routers.add(idx)
-    }
-
-    unsafe fn endpoint(&self, idx: usize) -> &LocalEndpoint {
-        debug_assert!(idx < self.n_routers);
-        &*self.endpoints.add(idx)
-    }
-
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn endpoint_mut(&self, idx: usize) -> &mut LocalEndpoint {
-        debug_assert!(idx < self.n_routers);
-        &mut *self.endpoints.add(idx)
+/// A packet-trace span at `router`'s `port`, with `len` flits buffered
+/// (clamped into the `u8` occupancy field).
+fn span(cycle: u64, kind: SpanKind, router: RouterAddr, port: Port, len: usize) -> SpanEvent {
+    SpanEvent {
+        cycle,
+        kind,
+        router,
+        port,
+        occupancy: len.min(usize::from(u8::MAX)) as u8,
     }
 }
 
 /// Sub-phase 1: router-local work — source injection, routing/arbitration
-/// and paced discarding of dropped packets — for every node in `nodes`.
-///
-/// # Safety
-///
-/// The caller must guarantee exclusive access to the routers, endpoints
-/// and delta named by `nodes`/`delta` (disjoint shards, or a single
-/// thread).
-unsafe fn phase_local(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut ShardDelta) {
-    let config = sh.config();
-    let base_table = sh.base_table();
-    let epochs = sh.epochs();
-    let injector = sh.injector();
+/// and paced discarding of dropped packets — for every node in `nodes`
+/// (all owned by `me`), publishing each one's input fullness to the
+/// neighbour shards.
+fn phase_local(ctx: &WindowCtx<'_>, now: u64, me: &mut ShardMut<'_>, nodes: &[usize]) {
+    let config = ctx.config;
+    let injector = ctx.injector;
+    let delta = &mut *me.delta;
     let cadence = u64::from(config.cycles_per_flit);
     // From header arrival to header forwarded is `routing_cycles ×
     // cycles_per_flit` (the paper's latency formula charges R_i flit
     // periods per router). One cycle is consumed by the grant itself.
     let decision_delay = u64::from(config.routing_cycles) * cadence - 1;
     for &idx in nodes {
-        let router = sh.router_mut(idx);
-        let endpoint = sh.endpoint_mut(idx);
+        let router = &mut me.routers[idx - me.base];
+        let endpoint = &mut me.endpoints[idx - me.base];
         let here = router.addr;
 
         // --- buffer high-water mark, sampled at the cycle boundary
@@ -442,19 +505,12 @@ unsafe fn phase_local(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut S
                     delta.record_events.push((now, RecordEvent::Injected(id)));
                     delta.local_ingress.push(here);
                     delta.flit_hops += 1;
-                    if sh.trace_enabled {
+                    if ctx.trace_enabled {
                         // Fires once per flit; the tracer keeps only the
                         // first occurrence (the header) per packet.
-                        delta.trace_local.push((
-                            id,
-                            SpanEvent {
-                                cycle: now,
-                                kind: SpanKind::Inject,
-                                router: here,
-                                port: Port::Local,
-                                occupancy: occupancy_of(local_in.buffer.len()),
-                            },
-                        ));
+                        let queued = local_in.buffer.len();
+                        let span = span(now, SpanKind::Inject, here, Port::Local, queued);
+                        delta.trace_local.push((id, span));
                     }
                 }
             }
@@ -488,8 +544,8 @@ unsafe fn phase_local(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut S
                 let wid = head.packet;
                 match decide_route(
                     config,
-                    base_table,
-                    epochs,
+                    ctx.base_table,
+                    ctx.epochs,
                     here,
                     Port::from_index(in_idx),
                     dest,
@@ -532,17 +588,10 @@ unsafe fn phase_local(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut S
                 if rerouted {
                     delta.rerouted_grants += 1;
                 }
-                if sh.trace_enabled {
-                    delta.trace_local.push((
-                        wid,
-                        SpanEvent {
-                            cycle: now,
-                            kind: SpanKind::Route,
-                            router: here,
-                            port: Port::from_index(out),
-                            occupancy: occupancy_of(router.inputs[in_idx].buffer.len()),
-                        },
-                    ));
+                if ctx.trace_enabled {
+                    let queued = router.inputs[in_idx].buffer.len();
+                    let span = span(now, SpanKind::Route, here, Port::from_index(out), queued);
+                    delta.trace_local.push((wid, span));
                 }
             } else if let Some((in_idx, kind, wid)) = dropped {
                 // The control logic discards the packet instead of routing
@@ -557,17 +606,10 @@ unsafe fn phase_local(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut S
                     DropKind::Unreachable => delta.unreachable_drops += 1,
                     DropKind::Misaddressed => delta.misaddressed_drops += 1,
                 }
-                if sh.trace_enabled {
-                    delta.trace_local.push((
-                        wid,
-                        SpanEvent {
-                            cycle: now,
-                            kind: SpanKind::Drop,
-                            router: here,
-                            port: Port::from_index(in_idx),
-                            occupancy: occupancy_of(router.inputs[in_idx].buffer.len()),
-                        },
-                    ));
+                if ctx.trace_enabled {
+                    let queued = router.inputs[in_idx].buffer.len();
+                    let span = span(now, SpanKind::Drop, here, Port::from_index(in_idx), queued);
+                    delta.trace_local.push((wid, span));
                 }
             } else if blocked {
                 router.counters.blocked_cycles += 1;
@@ -605,23 +647,23 @@ unsafe fn phase_local(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut S
             }
             delta.flits_dropped += 1;
         }
+
+        if let Some(channels) = ctx.channels {
+            channels.publish_full(idx, router);
+        }
     }
 }
 
 /// Sub-phase 2: collect the flit transfer every established connection of
-/// `nodes` would make this cycle. Mutates nothing but `delta`; reads
-/// neighbour buffer fullness, so it must not run concurrently with any
-/// router mutation.
-///
-/// # Safety
-///
-/// All shards must be between the local and apply barriers of the same
-/// cycle (no router is mutated anywhere while decide runs).
-unsafe fn phase_decide(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut ShardDelta) {
-    let config = sh.config();
-    let injector = sh.injector();
+/// `nodes` would make this cycle. Mutates nothing but the delta; reads
+/// downstream buffer fullness from the shard's own routers or, across a
+/// shard boundary, from the fullness masks published in local.
+fn phase_decide(ctx: &WindowCtx<'_>, now: u64, me: &mut ShardMut<'_>, nodes: &[usize]) {
+    let config = ctx.config;
+    let injector = ctx.injector;
+    let delta = &mut *me.delta;
     for &idx in nodes {
-        let router = sh.router(idx);
+        let router = &me.routers[idx - me.base];
         for (in_idx, input) in router.inputs.iter().enumerate() {
             let Some(out) = input.conn else { continue };
             if now < input.conn_active_at {
@@ -660,7 +702,15 @@ unsafe fn phase_decide(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut 
                     let Some(in_port) = out_port.opposite() else {
                         continue;
                     };
-                    !sh.router(next_idx).inputs[in_port.index()].buffer.is_full()
+                    // (An index below `base` wraps past the slice too.)
+                    let full = match me.routers.get(next_idx.wrapping_sub(me.base)) {
+                        Some(next) => next.inputs[in_port.index()].buffer.is_full(),
+                        None => ctx
+                            .channels
+                            .expect("only a multi-shard window has foreign neighbours")
+                            .is_full(next_idx, in_port.index()),
+                    };
+                    !full
                 }
             };
             if has_space {
@@ -678,27 +728,16 @@ unsafe fn phase_decide(sh: &CycleShared, now: u64, nodes: &[usize], delta: &mut 
 
 /// Sub-phase 3: apply the decided transfers on their source routers —
 /// pop, corruption roll, then local delivery, a staged same-shard push
-/// or the foreign-shard outbox. Also folds the cycle's zero-progress
-/// bookkeeping into the routers' own counters and finally lands every
-/// staged same-shard flit (so all pops of the cycle precede all pushes,
-/// exactly like the sequential engine).
-///
-/// # Safety
-///
-/// Every router index in `delta.transfers`/`delta.blocked_conns` and
-/// every staged destination in `delta.inbox_local` must lie in `range`,
-/// the caller must exclusively own the routers in `range`, and all
-/// shards must have passed the decide barrier (no one reads foreign
-/// buffers any more this cycle).
-unsafe fn phase_apply_src(
-    sh: &CycleShared,
-    now: u64,
-    range: &Range<usize>,
-    delta: &mut ShardDelta,
-) {
-    let config = sh.config();
-    let injector = sh.injector();
+/// or the mailbox of the neighbour's shard. Also folds the cycle's
+/// zero-progress bookkeeping into the routers' own counters and finally
+/// lands every staged same-shard flit (so all pops of the cycle precede
+/// all pushes, exactly like the sequential engine).
+fn phase_apply_src(ctx: &WindowCtx<'_>, now: u64, me: &mut ShardMut<'_>) {
+    let config = ctx.config;
+    let injector = ctx.injector;
     let cadence = u64::from(config.cycles_per_flit);
+    let (base, owned) = (me.base, me.base..me.base + me.routers.len());
+    let delta = &mut *me.delta;
 
     // Zero-progress bookkeeping lives on the input ports themselves, so
     // it must fold in cycle by cycle (the reset below races it only in
@@ -706,22 +745,18 @@ unsafe fn phase_apply_src(
     // transferring in a given cycle, never both).
     let mut blocked = std::mem::take(&mut delta.blocked_conns);
     for &(idx, in_idx) in &blocked {
-        let input = &mut sh.router_mut(idx).inputs[in_idx];
+        let input = &mut me.routers[idx - base].inputs[in_idx];
         input.blocked_cycles = input.blocked_cycles.saturating_add(1);
-        if sh.recovery_armed && input.blocked_cycles >= config.deadlock_timeout {
+        if ctx.recovery_armed && input.blocked_cycles >= config.deadlock_timeout {
             delta.stuck.push((idx, in_idx));
         }
     }
     blocked.clear();
     delta.blocked_conns = blocked;
 
-    // The previous cycle's outbox has been drained by every destination
-    // shard (two barriers ago); reclaim it for this cycle's staging.
-    delta.outbox.clear();
-
     let transfers = std::mem::take(&mut delta.transfers);
     for &(idx, in_idx, out) in &transfers {
-        let router = sh.router_mut(idx);
+        let router = &mut me.routers[idx - base];
         let here = router.addr;
         let out_port = Port::from_index(out);
         let link: LinkId = (here, out_port);
@@ -774,7 +809,7 @@ unsafe fn phase_apply_src(
                 out,
                 wedged: false,
             });
-        } else if !sh.pristine {
+        } else if !ctx.pristine {
             delta.health_apply.push(HealthEvent::Success(link));
         }
 
@@ -783,40 +818,24 @@ unsafe fn phase_apply_src(
         // gates keep the flit untouchable until the channel delay elapses
         // — sound under any batch window.
         flit.arrived = now + config.topology.link_latency(here, out_port);
-        let occupancy = occupancy_of(router.inputs[in_idx].buffer.len());
+        let queued = router.inputs[in_idx].buffer.len();
         match out_port {
             Port::Local => {
                 delta.flits_delivered += 1;
-                match sh.endpoint_mut(idx).receive(flit) {
+                match me.endpoints[idx - base].receive(flit) {
                     RxEvent::HeaderArrived(id) => {
                         delta.record_events.push((now, RecordEvent::Header(id)));
-                        if sh.trace_enabled {
-                            delta.trace_apply.push((
-                                id,
-                                SpanEvent {
-                                    cycle: now,
-                                    kind: SpanKind::Sink,
-                                    router: here,
-                                    port: Port::Local,
-                                    occupancy,
-                                },
-                            ));
+                        if ctx.trace_enabled {
+                            let span = span(now, SpanKind::Sink, here, Port::Local, queued);
+                            delta.trace_apply.push((id, span));
                         }
                     }
                     RxEvent::Completed(id) => {
                         delta.record_events.push((now, RecordEvent::Delivered(id)));
                         delta.packets_delivered += 1;
-                        if sh.trace_enabled {
-                            delta.trace_apply.push((
-                                id,
-                                SpanEvent {
-                                    cycle: now,
-                                    kind: SpanKind::Delivered,
-                                    router: here,
-                                    port: Port::Local,
-                                    occupancy,
-                                },
-                            ));
+                        if ctx.trace_enabled {
+                            let span = span(now, SpanKind::Delivered, here, Port::Local, queued);
+                            delta.trace_apply.push((id, span));
                         }
                     }
                     RxEvent::Progress => {}
@@ -832,22 +851,17 @@ unsafe fn phase_apply_src(
                 let Some(in_port) = out_port.opposite() else {
                     continue;
                 };
-                if sh.trace_enabled && flit_index == 1 {
-                    delta.trace_apply.push((
-                        flit.packet,
-                        SpanEvent {
-                            cycle: now,
-                            kind: SpanKind::Hop,
-                            router: here,
-                            port: out_port,
-                            occupancy,
-                        },
-                    ));
+                if ctx.trace_enabled && flit_index == 1 {
+                    let span = span(now, SpanKind::Hop, here, out_port, queued);
+                    delta.trace_apply.push((flit.packet, span));
                 }
-                if range.contains(&next_idx) {
-                    delta.inbox_local.push((next_idx, in_port.index(), flit));
-                } else {
-                    delta.outbox.push((next_idx, in_port.index(), flit));
+                let staged = (next_idx, in_port.index(), flit);
+                match ctx.channels {
+                    Some(channels) if !owned.contains(&next_idx) => {
+                        let dst = channels.shard_of(next_idx);
+                        channels.mailbox(me.shard, dst).push(staged);
+                    }
+                    _ => delta.inbox_local.push(staged),
                 }
             }
         }
@@ -858,64 +872,45 @@ unsafe fn phase_apply_src(
 
     // Land the same-shard flits: every pop above is done, so pushing now
     // reproduces the sequential pops-then-pushes order exactly. The
-    // arrival also wakes the destination for the next cycle's walk —
-    // flags are only ever written by the shard owning the node.
+    // arrival also wakes the destination for the next cycle's walk.
     let mut inbox = std::mem::take(&mut delta.inbox_local);
     for &(dst_idx, in_idx, flit) in &inbox {
-        debug_assert!(range.contains(&dst_idx));
-        let pushed = sh.router_mut(dst_idx).inputs[in_idx].buffer.push(flit);
+        let pushed = me.routers[dst_idx - base].inputs[in_idx].buffer.push(flit);
         debug_assert!(pushed, "downstream buffer checked for space");
-        *sh.active.add(dst_idx) = true;
+        me.active[dst_idx - base] = true;
     }
     inbox.clear();
     delta.inbox_local = inbox;
 }
 
-/// Drains every *foreign* shard's outbox into the input buffers of the
-/// routers in `range`, waking each destination node. Runs at the start
-/// of a shard's cycle (and once after the window's last cycle), so a
-/// flit sent in cycle `c` is visible from cycle `c + 1` on — exactly
-/// when the sequential engine first lets it be observed. Each downstream
-/// buffer is fed by exactly one upstream output, so at most one staged
-/// flit targets any buffer per cycle.
-///
-/// # Safety
-///
-/// All shards must have passed the apply barrier of the previous cycle
-/// (outboxes are complete, and their owners will not clear them until
-/// two barriers from now); the caller must exclusively own the routers
-/// in `range` and be the only shard with index `shard`.
-unsafe fn drain_mailboxes(sh: &CycleShared, range: &Range<usize>, shard: usize) {
-    for j in 0..sh.n_shards {
-        if j == shard {
-            // Own transfers were staged in `inbox_local`, never the
-            // outbox; skipping also keeps this loop free of references
-            // into the delta this shard holds `&mut`.
-            continue;
-        }
-        // Field-granular raw projection: only the foreign delta's
-        // `outbox` is ever referenced, never the delta as a whole.
-        let outbox = &*addr_of!((*sh.deltas.add(j)).outbox);
-        for &(dst_idx, in_idx, flit) in outbox {
-            if !range.contains(&dst_idx) {
-                continue;
-            }
-            let pushed = sh.router_mut(dst_idx).inputs[in_idx].buffer.push(flit);
+/// Lands the flits other shards mailed to `me` into its routers' input
+/// buffers, waking each destination node. Runs at the start of a shard's
+/// cycle (and once after the window's last cycle), so a flit sent in
+/// cycle `c` is visible from cycle `c + 1` on — exactly when the
+/// sequential engine first lets it be observed. Each downstream buffer is
+/// fed by exactly one upstream output, so at most one mailed flit targets
+/// any buffer per cycle and the drain order is irrelevant.
+fn drain_mailboxes(channels: &Channels, me: &mut ShardMut<'_>) {
+    for src in (0..channels.n_shards()).filter(|&src| src != me.shard) {
+        for (dst_idx, in_idx, flit) in channels.mailbox(src, me.shard).drain(..) {
+            let pushed = me.routers[dst_idx - me.base].inputs[in_idx]
+                .buffer
+                .push(flit);
             debug_assert!(pushed, "downstream buffer checked for space");
-            *sh.active.add(dst_idx) = true;
+            me.active[dst_idx - me.base] = true;
         }
     }
 }
 
-/// One timed bucket of the kernel phase profiler. `ApplyDst` now times
-/// the mailbox drains (the windowed engine's replacement for the old
-/// apply-dst sub-phase).
+/// One timed bucket of the kernel phase profiler. `Mailbox` times the
+/// mailbox drains, which land cross-shard flits (reported as
+/// [`PhaseProfile::apply_dst_nanos`]).
 #[derive(Debug, Clone, Copy)]
 enum ProfiledPhase {
     Local,
     Decide,
     ApplySrc,
-    ApplyDst,
+    Mailbox,
     Barrier,
 }
 
@@ -951,7 +946,7 @@ impl PhaseProfiler {
             local_nanos: nanos(ProfiledPhase::Local),
             decide_nanos: nanos(ProfiledPhase::Decide),
             apply_src_nanos: nanos(ProfiledPhase::ApplySrc),
-            apply_dst_nanos: nanos(ProfiledPhase::ApplyDst),
+            apply_dst_nanos: nanos(ProfiledPhase::Mailbox),
             barrier_nanos: nanos(ProfiledPhase::Barrier),
         }
     }
@@ -982,97 +977,92 @@ impl<'a> Lap<'a> {
     }
 }
 
-/// Runs `sh.window` cycles of the fused engine for `shard`: each cycle
-/// drains the shard's mailbox (from the second cycle on), walks the
+/// Runs `ctx.window` cycles of the fused engine on shard `me`: each cycle
+/// drains the shard's mailboxes (from the second cycle on), walks the
 /// shard's active nodes (every node under `full_scan`) through local →
 /// decide → apply and retires nodes that went quiescent, mirroring the
-/// counters of every walked router by the end of the window; a final drain after the last cycle lands the
-/// window's trailing cross-shard flits so the merged state matches the
-/// sequential end-of-cycle state exactly. Every participating shard
-/// (including the caller) must call this exactly once per window with the
-/// same `sh`. A single shard passes no `barrier`: it has nobody to wait
-/// for and no mailbox to drain.
+/// counters of every walked router by the end of the window. A final
+/// drain after the last cycle lands the window's trailing cross-shard
+/// flits, so the merged state matches the sequential end-of-cycle state
+/// exactly. Every shard of the window runs this once with the same `ctx`
+/// and the same `barrier`, which has as many participants as shards; a
+/// single shard passes no `barrier` (and `ctx` has no channels): it has
+/// nobody to wait for and no mailbox to drain.
 ///
-/// # Safety
-///
-/// `sh` must be a valid [`CycleShared`] for this window, `barrier` must
-/// be `None` for one shard and otherwise have as many participants as
-/// `sh.n_shards`, and each shard index in `0..n_shards` must be claimed by
-/// exactly one concurrent caller.
-pub(crate) unsafe fn run_shard(sh: &CycleShared, shard: usize, barrier: Option<&SpinBarrier>) {
+/// The function returns as soon as its own final drain is done; the
+/// caller rendezvouses with the other shards afterwards (see
+/// [`WorkerPool::run_window`]), so no shard still holds its view when the
+/// stepping thread resumes.
+pub(crate) fn run_shard(ctx: &WindowCtx<'_>, me: &mut ShardMut<'_>, barrier: Option<&SpinBarrier>) {
     #[cfg(test)]
-    if shard == 1 && sh.now == PANIC_IN_SHARD_1_AT {
-        panic!("injected panic in shard {shard}");
+    if me.shard == 1 && ctx.now == PANIC_IN_SHARD_1_AT {
+        panic!("injected panic in shard {}", me.shard);
     }
-    let config = sh.config();
-    let range = shard_range(
-        usize::from(config.width()),
-        usize::from(config.height()),
-        sh.n_shards,
-        shard,
-    );
-    debug_assert!(sh.window >= 1, "a window is at least one cycle");
-    debug_assert_eq!(barrier.is_none(), sh.n_shards == 1);
-    let mut lap = Lap::start(sh.profiler());
+    debug_assert!(ctx.window >= 1, "a window is at least one cycle");
+    debug_assert_eq!(barrier.is_none(), ctx.channels.is_none());
+    let mut lap = Lap::start(ctx.profiler);
     let sync = |lap: &mut Lap| {
         if let Some(barrier) = barrier {
             barrier.wait();
             lap.mark(ProfiledPhase::Barrier);
         }
     };
-    let delta = &mut *sh.deltas.add(shard);
-    for step in 0..u64::from(sh.window) {
-        let now = sh.now + step;
-        if step > 0 && barrier.is_some() {
+    for step in 0..u64::from(ctx.window) {
+        let now = ctx.now + step;
+        if let Some(channels) = ctx.channels.filter(|_| step > 0) {
             // Cross-shard flits sent in the previous cycle land before
             // anything of this cycle reads the buffers.
-            drain_mailboxes(sh, &range, shard);
-            lap.mark(ProfiledPhase::ApplyDst);
+            drain_mailboxes(channels, me);
+            lap.mark(ProfiledPhase::Mailbox);
         }
-        let mut walk = std::mem::take(&mut delta.walk);
+        let mut walk = std::mem::take(&mut me.delta.walk);
         walk.clear();
-        if sh.full_scan {
-            walk.extend(range.clone());
+        if ctx.full_scan {
+            walk.extend(me.base..me.base + me.routers.len());
         } else {
-            walk.extend(range.clone().filter(|&idx| *sh.active.add(idx)));
+            let flagged = (me.base..).zip(&*me.active);
+            walk.extend(flagged.filter_map(|(idx, &on)| on.then_some(idx)));
         }
         if !walk.is_empty() {
-            delta.last_busy = now;
+            me.delta.last_busy = now;
         }
-        phase_local(sh, now, &walk, delta);
+        phase_local(ctx, now, me, &walk);
         lap.mark(ProfiledPhase::Local);
         sync(&mut lap);
-        phase_decide(sh, now, &walk, delta);
+        phase_decide(ctx, now, me, &walk);
         lap.mark(ProfiledPhase::Decide);
         sync(&mut lap);
-        phase_apply_src(sh, now, &range, delta);
+        phase_apply_src(ctx, now, me);
         // Retire nodes that went quiescent this cycle, mirroring their
         // counters as they leave the walk. A node that stays active is
         // walked again next cycle, so the last cycle of the window mirrors
         // every walked node and no change escapes the mirror. A node
         // retired here that a foreign shard just sent a flit to is
         // re-woken by the next drain, before anyone observes the flags.
-        let last = step + 1 == u64::from(sh.window);
+        let last = step + 1 == u64::from(ctx.window);
         for &idx in &walk {
-            let router = sh.router(idx);
-            let retire = router.is_idle() && sh.endpoint(idx).outgoing.is_empty();
+            let i = idx - me.base;
+            let router = &me.routers[i];
+            let retire = router.is_idle() && me.endpoints[i].outgoing.is_empty();
             if retire || last {
-                *sh.counters.add(idx) = router.counters;
+                me.counters[i] = router.counters;
             }
             if retire {
-                *sh.active.add(idx) = false;
+                me.active[i] = false;
+                if let Some(channels) = ctx.channels {
+                    channels.full[idx].store(0, Ordering::Relaxed);
+                }
             }
         }
         lap.mark(ProfiledPhase::ApplySrc);
-        delta.walk = walk;
+        me.delta.walk = walk;
         sync(&mut lap);
     }
-    if barrier.is_some() {
+    if let Some(channels) = ctx.channels {
         // Land the last cycle's cross-shard flits before the merge reads
         // or snapshots any router state.
-        drain_mailboxes(sh, &range, shard);
-        lap.mark(ProfiledPhase::ApplyDst);
-        sync(&mut lap);
+        drain_mailboxes(channels, me);
+        lap.mark(ProfiledPhase::Mailbox);
     }
 }
 
@@ -1203,155 +1193,206 @@ impl SpinBarrier {
     }
 }
 
-/// What the gate releases the workers into.
-#[derive(Debug, Clone, Copy)]
-enum Command {
-    /// Nothing yet (initial state).
-    Idle,
-    /// Run one window over the published shared view.
-    Run(CycleShared),
-    /// Exit the worker loop.
-    Shutdown,
-}
+pub(crate) use pool::WorkerPool;
 
-/// Blocks workers between windows and publishes the next command.
-/// Workers park on a condvar, so an idle pool costs nothing — important
-/// both between windows and across long idle fast-forward gaps.
-#[derive(Debug)]
-struct Gate {
-    state: Mutex<(u64, Command)>,
-    cv: Condvar,
-}
+/// The worker pool: the one place where a shard's view crosses a thread
+/// boundary, and so the one place the crate opts out of its
+/// `deny(unsafe_code)`. Everything a worker touches during a window is
+/// published here and released again at the window's join.
+#[allow(unsafe_code)]
+mod pool {
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::thread::JoinHandle;
 
-impl Gate {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new((0, Command::Idle)),
-            cv: Condvar::new(),
+    use super::{run_shard, Channels, Lap, ProfiledPhase, ShardMut, SpinBarrier, WindowCtx};
+
+    /// A window's context and the views of shards `1..n` (at
+    /// `views[shard - 1]`), published to the workers with their
+    /// lifetimes erased.
+    #[derive(Debug, Clone, Copy)]
+    struct Published {
+        ctx: *const WindowCtx<'static>,
+        views: *mut ShardMut<'static>,
+    }
+
+    // SAFETY: `ctx` points to a `WindowCtx`, which is `Sync` (checked in
+    // `run_window`), and `views` to `ShardMut`s, which are `Send`; each
+    // worker reborrows only the view of its own shard. Both pointers are
+    // dereferenced only between the gate release of a window and that
+    // window's join, while `run_window` keeps the borrows they came from
+    // alive.
+    unsafe impl Send for Published {}
+
+    /// Blocks workers between windows and publishes the next window to
+    /// run, or `None` to shut down, under a new generation number.
+    /// Workers park on a condvar, so an idle pool costs nothing — important
+    /// both between windows and across long idle fast-forward gaps.
+    #[derive(Debug, Default)]
+    struct Gate {
+        state: Mutex<(u64, Option<Published>)>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn release(&self, job: Option<Published>) {
+            let mut st = self.state.lock().expect("worker gate poisoned");
+            st.0 += 1;
+            st.1 = job;
+            self.cv.notify_all();
+        }
+
+        fn await_change(&self, last_seen: u64) -> (u64, Option<Published>) {
+            let mut st = self.state.lock().expect("worker gate poisoned");
+            while st.0 == last_seen {
+                st = self.cv.wait(st).expect("worker gate poisoned");
+            }
+            *st
         }
     }
 
-    fn release(&self, cmd: Command) {
-        let mut st = self.state.lock().expect("worker gate poisoned");
-        st.0 += 1;
-        st.1 = cmd;
-        self.cv.notify_all();
+    /// The persistent worker pool of [`KernelMode::Parallel`] with two or
+    /// more shards: `shards - 1` plain `std::thread` workers (the stepping
+    /// thread itself runs shard 0) released window by window through the
+    /// gate and synchronised by the in-window barrier, plus the
+    /// cross-shard [`Channels`] they talk through. Dropping the pool shuts
+    /// the workers down and joins them.
+    ///
+    /// A shard that panics poisons the barrier, so its peers unwind instead
+    /// of waiting forever; the worker then exits, and [`run_window`]
+    /// re-raises the original panic on the stepping thread.
+    ///
+    /// [`KernelMode::Parallel`]: crate::KernelMode::Parallel
+    /// [`run_window`]: Self::run_window
+    #[derive(Debug)]
+    pub(crate) struct WorkerPool {
+        barrier: Arc<SpinBarrier>,
+        gate: Arc<Gate>,
+        workers: Vec<JoinHandle<()>>,
+        channels: Channels,
     }
 
-    fn await_change(&self, last_seen: u64) -> (u64, Command) {
-        let mut st = self.state.lock().expect("worker gate poisoned");
-        while st.0 == last_seen {
-            st = self.cv.wait(st).expect("worker gate poisoned");
+    impl WorkerPool {
+        /// Spawns workers for shards `1..shards` of a `width × height`
+        /// network.
+        pub fn new(width: usize, height: usize, shards: usize) -> Self {
+            debug_assert!(shards >= 2, "a 1-shard pool has no workers");
+            let barrier = Arc::new(SpinBarrier::new(shards));
+            let gate = Arc::new(Gate::default());
+            let workers = (1..shards)
+                .map(|shard| {
+                    let barrier = Arc::clone(&barrier);
+                    let gate = Arc::clone(&gate);
+                    std::thread::Builder::new()
+                        .name(format!("hermes-shard-{shard}"))
+                        .spawn(move || worker(shard, &barrier, &gate))
+                        .expect("failed to spawn kernel worker thread")
+                })
+                .collect();
+            Self {
+                barrier,
+                gate,
+                workers,
+                channels: Channels::new(width, height, shards),
+            }
         }
-        *st
-    }
-}
 
-/// The persistent worker pool of [`KernelMode::Parallel`] with two or
-/// more shards: `shards - 1` plain `std::thread` workers (the stepping
-/// thread itself runs shard 0) released window by window through the
-/// gate and synchronised by the in-window barrier. Dropping the pool
-/// shuts the workers down and joins them.
-///
-/// A shard that panics poisons the barrier, so its peers unwind instead
-/// of waiting forever; the worker then exits, and [`run_window`]
-/// re-raises the original panic on the stepping thread.
-///
-/// [`KernelMode::Parallel`]: crate::KernelMode::Parallel
-/// [`run_window`]: Self::run_window
-#[derive(Debug)]
-pub(crate) struct WorkerPool {
-    /// Number of shards this pool synchronises (workers + the caller).
-    pub shards: usize,
-    barrier: Arc<SpinBarrier>,
-    gate: Arc<Gate>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns workers for shards `1..shards`.
-    pub fn new(shards: usize) -> Self {
-        debug_assert!(shards >= 2, "a 1-shard pool has no workers");
-        let barrier = Arc::new(SpinBarrier::new(shards));
-        let gate = Arc::new(Gate::new());
-        let workers = (1..shards)
-            .map(|shard| {
-                let barrier = Arc::clone(&barrier);
-                let gate = Arc::clone(&gate);
-                std::thread::Builder::new()
-                    .name(format!("hermes-shard-{shard}"))
-                    .spawn(move || {
-                        let mut last_seen = 0u64;
-                        loop {
-                            let (gen, cmd) = gate.await_change(last_seen);
-                            last_seen = gen;
-                            match cmd {
-                                Command::Run(sh) => {
-                                    // SAFETY: the stepping thread published
-                                    // a view valid until the final barrier
-                                    // of this window, participates as shard
-                                    // 0 and assigned this worker a unique
-                                    // shard.
-                                    let run = AssertUnwindSafe(|| unsafe {
-                                        run_shard(&sh, shard, Some(&barrier))
-                                    });
-                                    if let Err(payload) = panic::catch_unwind(run) {
-                                        barrier.poison(payload);
-                                        return;
-                                    }
-                                }
-                                Command::Shutdown => return,
-                                Command::Idle => {}
-                            }
-                        }
-                    })
-                    .expect("failed to spawn kernel worker thread")
-            })
-            .collect();
-        Self {
-            shards,
-            barrier,
-            gate,
-            workers,
+        /// Number of shards this pool synchronises (workers + the caller).
+        pub fn shards(&self) -> usize {
+            self.channels.n_shards()
         }
-    }
 
-    /// Runs one window of `sh.window` cycles: releases the workers on
-    /// shards `1..n`, runs shard 0 on the calling thread, and returns
-    /// once every shard has passed the final barrier (all mutation
-    /// quiesced; `sh` may be dropped).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic of any shard (after poisoning the
-    /// barrier, so no peer is left waiting). The pool is unusable
-    /// afterwards, and so is the network the window was stepping (see
-    /// [`Noc::step`](crate::Noc::step)); dropping the pool joins the
-    /// workers, each of which exits as soon as it reaches the poisoned
-    /// barrier.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`run_shard`]: `sh` must be valid for this
-    /// window and `sh.n_shards` must equal this pool's shard count.
-    pub unsafe fn run_window(&self, sh: CycleShared) {
-        debug_assert_eq!(sh.n_shards, self.shards);
-        self.gate.release(Command::Run(sh));
-        let own = panic::catch_unwind(AssertUnwindSafe(|| run_shard(&sh, 0, Some(&self.barrier))));
-        if let Err(payload) = own {
-            self.barrier.poison(payload);
-            panic::resume_unwind(self.barrier.take_panic());
+        /// Runs one window over `views` (one per shard, in shard order):
+        /// attaches the pool's channels to `ctx`, publishes both to the
+        /// workers on shards `1..n`, runs shard 0 on the calling thread,
+        /// and returns once every shard has returned from [`run_shard`]
+        /// and passed the join barrier — no view is in use any more.
+        ///
+        /// # Panics
+        ///
+        /// Re-raises the first panic of any shard (after poisoning the
+        /// barrier, so no peer is left waiting). The workers are joined
+        /// first, so none of them still holds a view when the panic
+        /// leaves this call. The pool is unusable afterwards, and so is
+        /// the network the window was stepping (see
+        /// [`Noc::step`](crate::Noc::step)).
+        pub fn run_window(&mut self, ctx: WindowCtx<'_>, views: &mut [ShardMut<'_>]) {
+            fn assert_thread_safe<C: Sync, V: Send>(_: &C, _: &V) {}
+            // Each worker indexes `views` through the published pointer.
+            assert_eq!(views.len(), self.workers.len() + 1, "one view per shard");
+            let ctx = WindowCtx {
+                channels: Some(&self.channels),
+                ..ctx
+            };
+            let (own, rest) = views.split_first_mut().expect("one view per shard");
+            assert_thread_safe(&ctx, own);
+            self.gate.release(Some(Published {
+                ctx: std::ptr::from_ref(&ctx).cast(),
+                views: rest.as_mut_ptr().cast(),
+            }));
+            let barrier = &*self.barrier;
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                run_shard(&ctx, own, Some(barrier));
+                // The join: every worker has returned from `run_shard`,
+                // so its reborrow of `ctx` and of its view has ended.
+                let mut lap = Lap::start(ctx.profiler);
+                barrier.wait();
+                lap.mark(ProfiledPhase::Barrier);
+            }));
+            if let Err(payload) = outcome {
+                barrier.poison(payload);
+                // Every worker leaves `run_shard` at the poisoned barrier
+                // and exits; joining them ends their reborrows before the
+                // views go out of scope.
+                shut_down(&self.gate, &mut self.workers);
+                panic::resume_unwind(barrier.take_panic());
+            }
         }
     }
-}
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.gate.release(Command::Shutdown);
-        for handle in self.workers.drain(..) {
+    /// The loop of the worker running `shard`: one [`run_shard`] per
+    /// published window, then the join barrier.
+    fn worker(shard: usize, barrier: &SpinBarrier, gate: &Gate) {
+        let mut last_seen = 0u64;
+        loop {
+            let (gen, job) = gate.await_change(last_seen);
+            last_seen = gen;
+            let Some(job) = job else { return };
+            let run = AssertUnwindSafe(|| {
+                // SAFETY: the stepping thread published `job` for this
+                // window and, in `run_window`, neither returns nor unwinds
+                // before this worker has passed the join barrier below or
+                // exited (it joins the workers on a panic), so both
+                // pointees outlive these reborrows, which end when
+                // `run_shard` returns. Shard `shard` is this worker's
+                // alone, and the stepping thread holds only shard 0's
+                // view, so the `&mut` aliases nothing.
+                let (ctx, view) = unsafe { (&*job.ctx, &mut *job.views.add(shard - 1)) };
+                run_shard(ctx, view, Some(barrier));
+            });
+            if let Err(payload) = panic::catch_unwind(run) {
+                barrier.poison(payload);
+                return;
+            }
+            // The join. A poisoned barrier unwinds out of the thread,
+            // which is all that is left to do.
+            barrier.wait();
+        }
+    }
+
+    /// Releases the workers into shutdown and joins them.
+    fn shut_down(gate: &Gate, workers: &mut Vec<JoinHandle<()>>) {
+        gate.release(None);
+        for handle in workers.drain(..) {
             // A worker that panicked already poisoned the run; don't
             // double-panic during drop.
             let _ = handle.join();
+        }
+    }
+
+    impl Drop for WorkerPool {
+        fn drop(&mut self) {
+            shut_down(&self.gate, &mut self.workers);
         }
     }
 }
@@ -1359,15 +1400,18 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn shard_ranges_are_row_aligned_and_cover_the_mesh() {
         for (width, height, shards) in [(4, 4, 2), (4, 4, 3), (16, 16, 8), (3, 5, 4), (2, 2, 8)] {
             let mut covered = Vec::new();
+            let channels = Channels::new(width, height, shards);
             for s in 0..shards {
                 let r = shard_range(width, height, shards, s);
                 assert_eq!(r.start % width, 0, "shard {s} does not start on a row");
                 assert_eq!(r.end % width, 0, "shard {s} does not end on a row");
+                assert!(r.clone().all(|idx| channels.shard_of(idx) == s));
                 covered.extend(r);
             }
             assert_eq!(
@@ -1449,8 +1493,8 @@ mod tests {
 
     #[test]
     fn pool_shuts_down_cleanly_without_running_a_cycle() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.shards, 4);
+        let pool = WorkerPool::new(4, 4, 4);
+        assert_eq!(pool.shards(), 4);
         drop(pool);
     }
 

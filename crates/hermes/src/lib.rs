@@ -50,6 +50,10 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// The worker pool in `kernel` is the only opt-out: it publishes each
+// shard's view to its worker thread and joins them again.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod addr;
 mod arbiter;

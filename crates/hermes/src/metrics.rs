@@ -227,13 +227,14 @@ pub struct PhaseProfile {
     /// Nanoseconds in the read-only decide phase.
     pub decide_nanos: u64,
     /// Nanoseconds in the source-side apply phase (pops, corruption,
-    /// local delivery, outbox writes).
+    /// local delivery, mailbox posts).
     pub apply_src_nanos: u64,
-    /// Nanoseconds in the destination-side apply phase (outbox drain;
-    /// always zero at one shard, which has no mailbox).
+    /// Nanoseconds draining the cross-shard mailboxes (the name predates
+    /// the mailboxes; always zero at one shard, which has none).
     pub apply_dst_nanos: u64,
-    /// Nanoseconds worker shards spent waiting at phase barriers
-    /// (always zero at one shard, which has no barrier).
+    /// Nanoseconds shards spent waiting at phase barriers and at the
+    /// stepping thread's end-of-window join (always zero at one shard,
+    /// which has no barrier).
     pub barrier_nanos: u64,
 }
 

@@ -10,7 +10,7 @@ use crate::error::{NocError, RouteError, SendError};
 use crate::fault::{FaultInjector, FaultPlan, PlanError};
 use crate::health::{HealthMonitor, LinkHealth};
 use crate::kernel::{
-    self, CycleShared, HealthEvent, PhaseProfiler, RecordEvent, ShardDelta, WorkerPool,
+    self, HealthEvent, PhaseProfiler, RecordEvent, ShardDelta, ShardMut, WindowCtx, WorkerPool,
 };
 use crate::metrics::{PhaseProfile, Registry};
 use crate::packet::Packet;
@@ -189,9 +189,8 @@ pub struct Noc {
     /// Packet-lifecycle tracer; `None` (the default) makes every trace
     /// hook a single never-taken branch.
     tracer: Option<PacketTracer>,
-    /// Kernel phase profiler; boxed so the kernel can hold a stable raw
-    /// pointer to it for the duration of a cycle.
-    profiler: Option<Box<PhaseProfiler>>,
+    /// Kernel phase profiler; `None` unless enabled.
+    profiler: Option<PhaseProfiler>,
     /// Interval telemetry sampler; `None` (the default) makes the
     /// boundary hook a single never-taken branch. Boxed to keep the
     /// common no-telemetry `Noc` small.
@@ -309,14 +308,14 @@ impl Noc {
     /// observer — simulation observables are unaffected; idempotent.
     pub fn enable_phase_profiler(&mut self) {
         if self.profiler.is_none() {
-            self.profiler = Some(Box::default());
+            self.profiler = Some(PhaseProfiler::default());
         }
     }
 
     /// A snapshot of the phase profiler, or `None` if it was never
     /// enabled.
     pub fn phase_profile(&self) -> Option<PhaseProfile> {
-        self.profiler.as_deref().map(PhaseProfiler::snapshot)
+        self.profiler.as_ref().map(PhaseProfiler::snapshot)
     }
 
     /// Enables interval telemetry: every
@@ -871,7 +870,7 @@ impl Noc {
             self.cycle = last_busy;
         }
         let spent = self.cycle - base + 1;
-        if let Some(profiler) = self.profiler.as_deref() {
+        if let Some(profiler) = self.profiler.as_ref() {
             profiler.bump_cycles(spent);
         }
         self.stats.cycles = self.cycle;
@@ -905,66 +904,56 @@ impl Noc {
             KernelMode::Reference => 1,
             KernelMode::Parallel { threads } => threads,
         };
-        let shards = threads.clamp(1, usize::from(self.config.height()).max(1));
+        let (width, height) = (
+            usize::from(self.config.width()),
+            usize::from(self.config.height()),
+        );
+        let shards = threads.clamp(1, height.max(1));
         if self.deltas.len() < shards {
             self.deltas.resize_with(shards, ShardDelta::default);
         }
-        let shared = self.cycle_shared(base, shards, window);
-        if shards == 1 {
-            // SAFETY: one shard on the calling thread owns every router,
-            // endpoint and delta for the whole window.
-            unsafe { kernel::run_shard(&shared, 0, None) };
-        } else {
-            if self.pool.as_ref().map(|p| p.shards) != Some(shards) {
-                self.pool = Some(WorkerPool::new(shards));
+        // The views' borrows of the node arrays end with this block.
+        {
+            let ctx = WindowCtx {
+                config: &self.config,
+                base_table: self.base_table.as_deref(),
+                epochs: &self.epochs,
+                injector: self.injector.as_ref(),
+                profiler: self.profiler.as_ref(),
+                channels: None,
+                now: base,
+                window,
+                recovery_armed: self.config.routing == Routing::FaultTolerantXy
+                    && self.config.deadlock_timeout > 0
+                    && !self.epochs.is_empty(),
+                pristine: self.health.is_pristine(),
+                trace_enabled: self.tracer.is_some(),
+                full_scan: self.config.kernel == KernelMode::Reference,
+            };
+            let mut views = ShardMut::split(
+                &mut self.routers,
+                &mut self.endpoints,
+                &mut self.active,
+                &mut self.stats.routers,
+                &mut self.deltas[..shards],
+                width,
+                height,
+            );
+            if shards == 1 {
+                let mut only = views.next().expect("one view per shard");
+                kernel::run_shard(&ctx, &mut only, None);
+            } else {
+                // The kernel and the grid, hence the shard count, are fixed
+                // for the network's lifetime.
+                let pool = self
+                    .pool
+                    .get_or_insert_with(|| WorkerPool::new(width, height, shards));
+                debug_assert_eq!(pool.shards(), shards);
+                pool.run_window(ctx, &mut views.collect::<Vec<_>>());
             }
-            // Move the pool out so no borrow of `self` is alive while the
-            // workers mutate the mesh through the published raw view.
-            let pool = self.pool.take().expect("pool created above");
-            // SAFETY: `shared` stays valid until `run_window` returns (it
-            // blocks past the window's final barrier), the pool
-            // synchronises exactly `shards` participants, and each claims
-            // a unique shard index.
-            unsafe { pool.run_window(shared) };
-            self.pool = Some(pool);
         }
         self.window_open = false;
         self.merge_window(base, base + u64::from(window) - 1)
-    }
-
-    /// Publishes the raw per-window view the engine phases work through.
-    fn cycle_shared(&mut self, now: u64, n_shards: usize, window: u32) -> CycleShared {
-        CycleShared {
-            routers: self.routers.as_mut_ptr(),
-            endpoints: self.endpoints.as_mut_ptr(),
-            deltas: self.deltas.as_mut_ptr(),
-            active: self.active.as_mut_ptr(),
-            counters: self.stats.routers.as_mut_ptr(),
-            n_routers: self.routers.len(),
-            n_shards,
-            config: &self.config,
-            base_table: self
-                .base_table
-                .as_deref()
-                .map_or(std::ptr::null(), |t| t as *const RouteTable),
-            epochs: self.epochs.as_slice(),
-            injector: self
-                .injector
-                .as_ref()
-                .map_or(std::ptr::null(), |inj| inj as *const FaultInjector),
-            now,
-            window,
-            recovery_armed: self.config.routing == Routing::FaultTolerantXy
-                && self.config.deadlock_timeout > 0
-                && !self.epochs.is_empty(),
-            pristine: self.health.is_pristine(),
-            trace_enabled: self.tracer.is_some(),
-            full_scan: self.config.kernel == KernelMode::Reference,
-            profiler: self
-                .profiler
-                .as_deref()
-                .map_or(std::ptr::null(), |p| p as *const PhaseProfiler),
-        }
     }
 
     /// Serially merges every shard's deferred side effects for the
@@ -1471,8 +1460,7 @@ impl Noc {
         r: &mut SnapshotReader<'_>,
         kernel: Option<KernelMode>,
     ) -> Result<Self, SnapshotError> {
-        let version = r.version();
-        let mut config = NocConfig::snapshot_read(r, version)?;
+        let mut config = NocConfig::snapshot_read(r)?;
         if let Some(kernel) = kernel {
             config.kernel = kernel;
         }
@@ -1548,7 +1536,7 @@ impl Noc {
         if r.take_bool()? {
             noc.enable_phase_profiler();
         }
-        if r.version() >= 4 && r.take_bool()? {
+        if r.take_bool()? {
             noc.telemetry = Some(Box::new(Telemetry::snapshot_read(
                 r,
                 noc.routers.len(),
@@ -2257,55 +2245,23 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshot_without_topology_tag_restores_as_mesh() {
-        use crate::snapshot::{fletcher64, HEADER_LEN};
-        use crate::topology::Topology;
-        let original = mid_flight_noc();
-        let mut bytes = original.save_state();
-        // Surgery back to the version-2 layout: drop the leading topology
-        // tag (v2 payloads open directly with width,height), rewrite the
-        // container version and payload length, and re-seal the checksum.
-        assert_eq!(bytes[HEADER_LEN], 0, "payload starts with the Mesh tag");
-        bytes.remove(HEADER_LEN);
-        // v4 payloads end with the telemetry-presence flag; v2 payloads
-        // end before it.
-        let flag = bytes.remove(bytes.len() - 9);
-        assert_eq!(flag, 0, "no telemetry sampler in the test network");
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let len = u64::from_le_bytes(bytes[9..17].try_into().unwrap()) - 2;
-        bytes[9..17].copy_from_slice(&len.to_le_bytes());
-        let body = bytes.len() - 8;
-        let sum = fletcher64(&bytes[..body]);
-        bytes[body..].copy_from_slice(&sum.to_le_bytes());
-        let mut restored =
-            Noc::restore_state(&bytes).expect("a pre-topology snapshot decodes as a mesh");
-        assert_eq!(
-            restored.config().topology,
-            Topology::Mesh {
-                width: 3,
-                height: 3
-            }
-        );
-        assert_eq!(restored.cycle(), original.cycle());
-        // And it resumes: the restored network still drains to idle.
-        restored.run_until_idle(100_000).unwrap();
-    }
-
-    #[test]
     fn v1_snapshot_is_rejected_with_a_typed_error() {
         use crate::snapshot::fletcher64;
         let noc = mid_flight_noc();
-        let mut bytes = noc.save_state();
-        // A version below MIN_SNAPSHOT_VERSION must be a typed rejection,
-        // never a garbage decode.
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let body = bytes.len() - 8;
-        let sum = fletcher64(&bytes[..body]);
-        bytes[body..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Noc::restore_state(&bytes).err(),
-            Some(SnapshotError::UnsupportedVersion(1))
-        );
+        // A snapshot restores only under the format version that wrote
+        // it: every older version must be a typed rejection, never a
+        // garbage decode.
+        for version in 1u32..=3 {
+            let mut bytes = noc.save_state();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let body = bytes.len() - 8;
+            let sum = fletcher64(&bytes[..body]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Noc::restore_state(&bytes).err(),
+                Some(SnapshotError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]

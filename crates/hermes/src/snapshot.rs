@@ -22,9 +22,12 @@
 //! restore.
 //!
 //! Versioning policy: the format version is bumped whenever the payload
-//! layout changes; decoders accept exactly the versions they know how to
-//! parse ([`MIN_SNAPSHOT_VERSION`]..=[`SNAPSHOT_VERSION`]) and reject
-//! everything else with [`SnapshotError::UnsupportedVersion`]. Snapshots are portable
+//! layout changes, and a snapshot restores only under the format version
+//! that wrote it ([`MIN_SNAPSHOT_VERSION`] equals [`SNAPSHOT_VERSION`]);
+//! every other version is rejected with
+//! [`SnapshotError::UnsupportedVersion`]. Snapshots are checkpoints of a
+//! running simulation, not an archive format, so no decoder for an older
+//! layout is kept. Snapshots are portable
 //! across kernel modes by construction — the determinism contract makes
 //! the `Reference` and `Parallel` kernels produce bit-identical
 //! observable state, so a snapshot taken under one kernel restores under
@@ -41,18 +44,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MNSP";
 
 /// Current snapshot format version. Version 4 appends the optional
 /// telemetry sampler to network payloads and the optional service-span
-/// log to system payloads; version-3 payloads (which end before those
-/// sections) still decode with both features disabled. Version 3 leads
-/// the embedded configuration with a topology tag (mesh / torus /
-/// chiplet mesh); version 2 predates the topology abstraction — its
-/// payloads open with bare mesh dimensions and are still decodable (as
-/// `Topology::Mesh`, the only shape that existed then). Version 2
-/// itself added the configuration's `batch_window` field; version-1
-/// containers predate it and are rejected rather than guessed at.
+/// log to system payloads.
 pub const SNAPSHOT_VERSION: u32 = 4;
 
-/// Oldest snapshot format version the reader still decodes.
-pub const MIN_SNAPSHOT_VERSION: u32 = 2;
+/// Oldest snapshot format version the reader decodes: the current one
+/// (see the versioning policy above).
+pub const MIN_SNAPSHOT_VERSION: u32 = SNAPSHOT_VERSION;
 
 /// Payload kind: a bare [`Noc`](crate::Noc) network snapshot.
 pub const KIND_NOC: u8 = 1;
@@ -334,8 +331,7 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// Container format version this payload was written under (within
-    /// [`MIN_SNAPSHOT_VERSION`]..=[`SNAPSHOT_VERSION`]); decoders branch
-    /// on it to parse historic layouts.
+    /// [`MIN_SNAPSHOT_VERSION`]..=[`SNAPSHOT_VERSION`]).
     pub fn version(&self) -> u32 {
         self.version
     }

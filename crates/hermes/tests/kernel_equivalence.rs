@@ -10,6 +10,7 @@ use std::fmt::Write as _;
 
 use hermes_noc::fault::{CycleWindow, FaultPlan};
 use hermes_noc::stats::NocStats;
+use hermes_noc::trace::SpanKind;
 use hermes_noc::{D2dChannel, KernelMode, Noc, NocConfig, Packet, Port, RouterAddr, Routing};
 use proptest::prelude::*;
 
@@ -285,6 +286,68 @@ fn router_killed_mid_flight_is_cycle_identical() {
     let config = NocConfig::mesh(3, 3).with_routing(Routing::FaultTolerantXy);
     let sends = schedule(3, 3, 60, 19);
     assert_kernels_equivalent(config, Some(plan), &sends, 8_000);
+}
+
+#[test]
+fn sink_across_the_shard_boundary_frees_space_the_same_cycle() {
+    // Two shards split this 2×4 mesh between rows 1 and 2. A long worm
+    // from (0, 0) to (0, 3) reaches (0, 2), the first router of the
+    // second shard, while that router's control logic is stalled: its
+    // input from (0, 1) fills up, and the rest of the worm waits in the
+    // first shard on the full buffer. When the stall lifts, the router
+    // drops the worm (the drop window covers only that decision) and
+    // sinks one flit per handshake. Each sink pop in the local sub-phase
+    // frees a slot that the upstream decide of the same cycle must see
+    // through the published fullness mask, exactly as the reference sees
+    // the buffer itself.
+    let plan = FaultPlan::new(5)
+        .with_router_stall(RouterAddr::new(0, 2), CycleWindow::new(25, 45))
+        .with_drop_rate(1.0)
+        .with_drop_window(CycleWindow::new(40, 60));
+    let sends = [Send {
+        cycle: 0,
+        src: RouterAddr::new(0, 0),
+        dest: RouterAddr::new(0, 3),
+        payload: vec![1; 12],
+    }];
+    let config = NocConfig::mesh(2, 4);
+    assert_kernels_equivalent(config.clone(), Some(plan.clone()), &sends, 200);
+    let mut noc = Noc::new(config.with_kernel_mode(KernelMode::Parallel { threads: 2 }))
+        .expect("valid config");
+    noc.set_fault_plan(plan).expect("valid fault plan");
+    noc.enable_packet_trace(4);
+    let mut fp = String::new();
+    drive_chunked(&mut noc, &sends, 200, &mut fp);
+    let trace = &noc.packet_trace().expect("tracing on").traces()[0];
+    let drop = trace.events().last().expect("the worm was traced");
+    assert_eq!(
+        (drop.kind, drop.router, drop.occupancy),
+        (SpanKind::Drop, RouterAddr::new(0, 2), 2),
+        "the worm is dropped from a full buffer in the second shard"
+    );
+    assert_eq!(
+        noc.stats().faults.flits_dropped,
+        14,
+        "every wire flit is sunk"
+    );
+}
+
+#[test]
+fn one_flit_buffer_retiring_full_across_the_shard_boundary() {
+    // With one-flit buffers, the input of (0, 2) that carries a worm from
+    // the first shard is full when each flit lands and empty once it
+    // moves on, so the router retires in the very cycle its tail leaves
+    // — after it published that input as full. A second worm along the
+    // same path must then find the buffer free, as the reference does:
+    // retiring a router clears its fullness mask.
+    let path = |cycle| Send {
+        cycle,
+        src: RouterAddr::new(0, 0),
+        dest: RouterAddr::new(0, 3),
+        payload: vec![2; 6],
+    };
+    let config = NocConfig::mesh(2, 4).with_buffer_depth(1);
+    assert_kernels_equivalent(config, None, &[path(0), path(200)], 500);
 }
 
 #[test]

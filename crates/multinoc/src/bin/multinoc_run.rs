@@ -11,6 +11,8 @@
 //! halt, each `--read` dumps memory exactly like the Fig. 9
 //! `00 01 01 00 20` read command.
 
+#![forbid(unsafe_code)]
+
 use std::io::BufRead;
 use std::process::ExitCode;
 

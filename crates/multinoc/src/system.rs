@@ -1761,7 +1761,7 @@ impl System {
                 to: NodeId(r.take_u8()?),
             });
         }
-        let spans = if r.version() >= 4 && r.take_bool()? {
+        let spans = if r.take_bool()? {
             Some(SpanLog::snapshot_read(&mut r)?)
         } else {
             None

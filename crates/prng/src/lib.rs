@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 /// SplitMix64: fast, 64 bits of state, passes BigCrush. The constants
 /// are from Steele, Lea & Flood, "Fast Splittable Pseudorandom Number

@@ -18,6 +18,7 @@
 //! shrinking** — a failure reports the exact generated inputs instead.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod arbitrary;
 pub mod collection;

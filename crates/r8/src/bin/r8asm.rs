@@ -8,6 +8,8 @@
 //! `--listing` prints an address/word/instruction listing to stderr,
 //! `--symbols` the symbol table.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -4,6 +4,8 @@
 //! r8dis <input.obj>
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

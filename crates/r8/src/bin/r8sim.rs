@@ -11,6 +11,8 @@
 //! `LD` from `0xFFFF` reads a decimal word per line from stdin
 //! (`scanf`), so host-interactive programs work at the console.
 
+#![forbid(unsafe_code)]
+
 use std::io::BufRead;
 use std::process::ExitCode;
 

@@ -7,6 +7,8 @@
 //! By default emits assembly; `--obj` assembles it and emits object
 //! text (loadable by `r8sim` and the MultiNoC host).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

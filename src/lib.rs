@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use floorplan;
 pub use hermes_noc as hermes;
 pub use multinoc;
