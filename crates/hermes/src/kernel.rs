@@ -97,7 +97,7 @@ use crate::trace::{SpanEvent, SpanKind};
 /// Routers owned by `shard` of `n_shards`: a contiguous row-major range
 /// covering whole grid rows, so most neighbour reads stay shard-local
 /// (torus wraparound and chiplet-boundary links ride the same cross-shard
-/// outboxes as any other remote neighbour). Shards beyond the row count
+/// channels as any other remote neighbour). Shards beyond the row count
 /// come out empty.
 pub(crate) fn shard_range(
     width: usize,
